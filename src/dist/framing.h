@@ -29,8 +29,17 @@ namespace dist {
 
 // Protocol version, checked in the HELLO exchange; bump on any change to the
 // message encodings below or their semantics (v2: an empty RestoreReq state
-// blob means "reset the slot to pristine initial state").
-constexpr std::uint32_t kProtocolVersion = 2;
+// blob means "reset the slot to pristine initial state"; v3: pipelined
+// ingest, see kMaxInflight).
+constexpr std::uint32_t kProtocolVersion = 3;
+
+// Ingest window: the front tier keeps up to this many INGEST_BATCH requests
+// outstanding per connection, and sends any other request only once every
+// outstanding ack is in.  Replies arrive in request order, so a worker that
+// receives request n knows every reply up to n - kMaxInflight arrived, and
+// holds the egress of the later ones as unconfirmed until then.  Both sides
+// must agree on it, hence a protocol constant and not a config field.
+constexpr std::size_t kMaxInflight = 4;
 
 // Upper bound on one message's payload: a full-fleet snapshot of corpus-sized
 // state is well under a megabyte, so 64 MiB is generous headroom while still

@@ -112,7 +112,7 @@ void FrontTier::offer(const std::uint8_t* data, std::size_t len) {
   const std::size_t wi = owner_[rec.slot];
   route(std::move(rec));
   if (resend_total_ >= cfg_.resend_limit) checkpoint();
-  if (workers_[wi].outbox.size() >= cfg_.max_batch) flush_worker(wi);
+  flush_worker(wi, /*drain=*/false);
 }
 
 bool FrontTier::ensure_connected(WorkerLink& w) {
@@ -160,14 +160,21 @@ void FrontTier::hello(WorkerLink& w) {
 
 Message FrontTier::call(WorkerLink& w, MsgType type,
                         const std::vector<std::uint8_t>& payload) {
+  // Barriers (flush, snapshot, restore, swap) and heartbeats must see every
+  // frame the worker applied, and their reply must not be mistaken for an
+  // ingest ack: settle the ingest window first.
+  while (!w.inflight.empty()) settle_one(w);
   const TimePoint deadline = Clock::now() + cfg_.rpc_timeout;
   w.conn.send_msg(type, payload, deadline);
   return w.conn.recv_msg(deadline);
 }
 
 void FrontTier::on_rpc_failure(WorkerLink& w, bool timeout) {
-  // The stream may be mid-message: only a fresh connection is safe.
+  // The stream may be mid-message: only a fresh connection is safe.  The
+  // batches in flight die with it; their frames still head the outbox.
   w.conn.close();
+  w.inflight.clear();
+  w.unacked = 0;
   if (timeout)
     w.detector.on_timeout(Clock::now());
   else
@@ -216,75 +223,99 @@ void FrontTier::process_egress(const std::vector<EgressRecord>& egress) {
   }
 }
 
-bool FrontTier::flush_worker(std::size_t wi) {
+void FrontTier::send_batch(WorkerLink& w) {
+  IngestBatch batch;
+  const std::size_t n = std::min(cfg_.max_batch, w.outbox.size() - w.unacked);
+  for (std::size_t i = 0; i < n; ++i)
+    batch.frames.push_back(w.outbox[w.unacked + i]);
+  std::vector<std::uint8_t> payload = encode_ingest_batch(batch);
+  w.conn.send_msg(MsgType::kIngestBatch, payload,
+                  Clock::now() + cfg_.rpc_timeout);
+  w.unacked += n;
+  Inflight sent;
+  sent.frames = n;
+  if (cfg_.dup_every != 0) sent.payload = std::move(payload);
+  w.inflight.push_back(std::move(sent));
+}
+
+void FrontTier::settle_one(WorkerLink& w) {
+  const Message resp = w.conn.recv_msg(Clock::now() + cfg_.rpc_timeout);
+  if (w.inflight.empty()) throw FramingError("reply without a request");
+  if (resp.type != MsgType::kIngestAck)
+    throw FramingError("unexpected reply to ingest");
+  const IngestAck ack =
+      decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  Inflight batch = std::move(w.inflight.front());
+  w.inflight.pop_front();
+  w.detector.on_success(Clock::now());
+  stats_.frames_sent += batch.frames;
+  process_ack_frames(ack.seqs, ack.statuses);
+  process_egress(ack.egress);
+  if (batch.dup) return;
+  for (std::size_t i = 0; i < batch.frames; ++i) w.outbox.pop_front();
+  w.unacked -= batch.frames;
+  ++batches_sent_;
+  if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0) {
+    // Chaos knob: replay the batch we just had acknowledged.  The worker's
+    // seq dedup must answer kDuplicate for every frame, and the egress
+    // window must not emit anything twice.
+    w.conn.send_msg(MsgType::kIngestBatch, batch.payload,
+                    Clock::now() + cfg_.rpc_timeout);
+    batch.dup = true;
+    w.inflight.push_back(std::move(batch));
+  }
+}
+
+bool FrontTier::settle_ready(WorkerLink& w) {
+  bool any = false;
+  while (w.conn.readable()) {
+    settle_one(w);
+    any = true;
+  }
+  return any;
+}
+
+bool FrontTier::flush_worker(std::size_t wi, bool drain) {
   WorkerLink& w = workers_[wi];
-  std::uint32_t attempts = 0;
-  while (!w.outbox.empty()) {
+  std::uint32_t failures = 0;  // consecutive: any settled ack resets it
+  auto fail = [&](bool timeout) {
+    ++stats_.retries;
+    ++failures;
+    on_rpc_failure(w, timeout);
+  };
+  for (;;) {
+    const std::size_t unsent = w.outbox.size() - w.unacked;
+    const bool send = drain ? unsent > 0 : unsent >= cfg_.max_batch;
+    if (!send && (!drain || w.inflight.empty())) return true;
     if (!w.detector.alive()) {
       migrate(wi);
       return false;
     }
-    if (attempts++ >= cfg_.max_attempts) {
+    if (failures >= cfg_.max_attempts) {
       w.detector.mark_dead(Clock::now());
       migrate(wi);
       return false;
     }
-    if (!ensure_connected(w)) continue;
-    IngestBatch batch;
-    const std::size_t n = std::min(cfg_.max_batch, w.outbox.size());
-    for (std::size_t i = 0; i < n; ++i) batch.frames.push_back(w.outbox[i]);
-    const std::vector<std::uint8_t> wire_batch = encode_ingest_batch(batch);
-    Message resp;
-    try {
-      resp = call(w, MsgType::kIngestBatch, wire_batch);
-    } catch (const RpcTimeout&) {
-      ++stats_.retries;
-      on_rpc_failure(w, true);
-      continue;
-    } catch (const RpcError&) {
-      ++stats_.retries;
-      on_rpc_failure(w, false);
+    if (!ensure_connected(w)) {
+      ++failures;
       continue;
     }
-    IngestAck ack;
     try {
-      if (resp.type != MsgType::kIngestAck)
-        throw FramingError("unexpected reply to ingest");
-      ack = decode_ingest_ack(resp.payload.data(), resp.payload.size());
-    } catch (const FramingError&) {
-      ++stats_.retries;
-      on_rpc_failure(w, false);
-      continue;
-    }
-    w.detector.on_success(Clock::now());
-    stats_.frames_sent += n;
-    process_ack_frames(ack.seqs, ack.statuses);
-    process_egress(ack.egress);
-    for (std::size_t i = 0; i < n; ++i) w.outbox.pop_front();
-    attempts = 0;
-    ++batches_sent_;
-    if (cfg_.dup_every != 0 && batches_sent_ % cfg_.dup_every == 0) {
-      // Chaos knob: replay the batch we just had acknowledged.  The worker's
-      // seq dedup must answer kDuplicate for every frame, and the egress
-      // window must not emit anything twice.
-      try {
-        const Message r2 = call(w, MsgType::kIngestBatch, wire_batch);
-        if (r2.type == MsgType::kIngestAck) {
-          const IngestAck a2 =
-              decode_ingest_ack(r2.payload.data(), r2.payload.size());
-          stats_.frames_sent += n;
-          process_ack_frames(a2.seqs, a2.statuses);
-          process_egress(a2.egress);
-          w.detector.on_success(Clock::now());
-        }
-      } catch (const RpcTimeout&) {
-        on_rpc_failure(w, true);
-      } catch (const RpcError&) {
-        on_rpc_failure(w, false);
+      if (settle_ready(w)) failures = 0;
+      if (send && w.inflight.size() < kMaxInflight) {
+        send_batch(w);
+      } else if (!w.inflight.empty()) {
+        settle_one(w);  // window full, or draining: wait for the oldest ack
+        failures = 0;
       }
+    } catch (const RpcTimeout&) {
+      fail(true);
+    } catch (const RpcError&) {
+      fail(false);
+    } catch (const FramingError&) {
+      fail(false);
     }
   }
-  return true;
 }
 
 void FrontTier::flush_all_outboxes() {
@@ -293,7 +324,8 @@ void FrontTier::flush_all_outboxes() {
       throw RpcError("flush: outboxes did not converge");
     bool any = false;
     for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      if (workers_[wi].outbox.empty()) continue;
+      if (workers_[wi].outbox.empty() && workers_[wi].inflight.empty())
+        continue;
       any = true;
       flush_worker(wi);  // false = migrated; frames moved to other outboxes
     }
@@ -430,13 +462,21 @@ void FrontTier::replay_slot(std::size_t slot) {
 
 void FrontTier::migrate(std::size_t dead) {
   WorkerLink& w = workers_[dead];
-  w.conn.close();
   if (w.detector.alive()) w.detector.mark_dead(Clock::now());
+  try {
+    // Acks the worker sent before it died still carry egress and verdicts.
+    settle_ready(w);
+  } catch (const RpcError&) {
+  } catch (const FramingError&) {
+  }
+  w.conn.close();
   std::deque<std::size_t> pending;
   for (std::size_t s : owned_slots(dead)) pending.push_back(s);
-  // Unsent frames in the dead worker's outbox are all in the resend buffers
+  // Unacked frames in the dead worker's outbox are all in the resend buffers
   // (offer() stores before routing), so the replay below re-creates them.
   w.outbox.clear();
+  w.unacked = 0;
+  w.inflight.clear();
   if (pending.empty()) return;
   ++stats_.migrations;
   std::size_t salt = 0;

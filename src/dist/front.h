@@ -8,11 +8,18 @@
 // The machinery, end to end:
 //
 //   offer(bytes) ──hash──► slot ──owner table──► per-worker outbox
-//        │                                             │ (batched RPC)
-//        └── per-slot resend buffer (at-least-once) ───┤
+//        │                                             │ (batched RPC,
+//        └── per-slot resend buffer (at-least-once) ───┤  kMaxInflight deep)
 //                                                      ▼
 //   EgressWindow ◄── seq-tagged egress piggybacked on every ack
 //   (dedup + global order + tombstones for rejects)
+//
+// Ingest is pipelined: a full batch goes out without waiting for earlier
+// acks, up to kMaxInflight (dist/framing.h) INGEST_BATCH requests per
+// worker.  Acks settle in FIFO order and only then pop their frames from the
+// outbox, so after any failure the outbox front is exactly what must be
+// re-sent.  Every other RPC first settles all outstanding acks, which keeps
+// flush, checkpoint and migration barriers exact.
 //
 // Fault model and the invariant it preserves: any RPC may time out or the
 // connection may die at any point.  The front then retries the same frames
@@ -77,9 +84,10 @@ struct FrontConfig {
   // Chaos knob: re-send every Nth ingest batch verbatim after its ack — the
   // workers must answer all-kDuplicate and the egress stream must not care.
   std::uint32_t dup_every = 0;
-  // Max reconnect attempts per flush_worker pass before the detector's
-  // verdict is accepted (prevents an unbounded retry loop when dead_after
-  // is large and the worker is truly gone).
+  // Max consecutive failures (reconnects and RPCs, reset by any settled
+  // ack) per flush_worker pass before the worker is declared dead
+  // (prevents an unbounded retry loop when dead_after is large and the
+  // worker is truly gone).
   std::uint32_t max_attempts = 10;
 };
 
@@ -215,12 +223,23 @@ class FrontTier {
   WorkerView worker_view(std::size_t w) const;
 
  private:
+  // One INGEST_BATCH awaiting its ack.
+  struct Inflight {
+    std::size_t frames = 0;
+    bool dup = false;                  // dup_every re-send: pops nothing
+    std::vector<std::uint8_t> payload;  // kept only when dup_every is on
+  };
+
   struct WorkerLink {
     std::uint16_t port = 0;
     Conn conn;
     FailureDetector detector;
     std::uint32_t attempt = 0;           // reconnect backoff exponent
+    // outbox[0, unacked) is in flight, in the batches listed by inflight
+    // (oldest first); the rest is not sent yet.
     std::deque<FrameRecord> outbox;
+    std::size_t unacked = 0;
+    std::deque<Inflight> inflight;
     std::uint64_t hb_nonce = 0;
   };
 
@@ -228,17 +247,31 @@ class FrontTier {
   void route(FrameRecord rec);  // outbox only, no resend append
   bool ensure_connected(WorkerLink& w);
   void hello(WorkerLink& w);
-  // One request/response exchange; throws RpcTimeout/RpcError, translates a
-  // kError reply into RpcError.
+  // One request/response exchange after settling every outstanding ingest
+  // ack; throws RpcTimeout/RpcError/FramingError.
   Message call(WorkerLink& w, MsgType type,
                const std::vector<std::uint8_t>& payload);
+  // Closes the connection; the batches in flight on it are forgotten, so the
+  // outbox is re-sent from its front.
   void on_rpc_failure(WorkerLink& w, bool timeout);
+  // Sends the next unsent outbox frames (up to max_batch) as one
+  // INGEST_BATCH without waiting for the ack.
+  void send_batch(WorkerLink& w);
+  // Receives the oldest outstanding ack, waiting up to rpc_timeout, and
+  // settles it: statuses, egress, outbox pop.  Throws like call().
+  void settle_one(WorkerLink& w);
+  // Settles the acks that already arrived, without blocking; returns true if
+  // it settled any.  Also surfaces a peer that hung up.
+  bool settle_ready(WorkerLink& w);
   void process_ack_frames(const std::vector<std::uint64_t>& seqs,
                           const std::vector<FrameStatus>& statuses);
   void process_egress(const std::vector<EgressRecord>& egress);
-  // Drains one worker's outbox (batched, with retry/backoff); migrates and
-  // re-routes if the worker dies.  Returns false if the worker died.
-  bool flush_worker(std::size_t wi);
+  // Sends one worker's outbox in pipelined batches, with retry/backoff;
+  // migrates and re-routes if the worker dies.  Without `drain` it sends
+  // only full batches and returns with up to kMaxInflight still in flight;
+  // with `drain` it sends everything and settles every ack.  Returns false
+  // if the worker died.
+  bool flush_worker(std::size_t wi, bool drain = true);
   void flush_all_outboxes();
   void migrate(std::size_t dead);
   // Installs slot blobs on `target`, retrying through connection failures

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -156,6 +157,39 @@ bool Conn::readable() const {
     if (rc >= 0) return rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR));
     if (errno == EINTR) continue;
     return false;
+  }
+}
+
+bool Conn::wait_readable(const Waker& wake) const {
+  if (!valid()) return false;
+  pollfd pfd[2] = {{fd_, POLLIN, 0}, {wake.fd(), POLLIN, 0}};
+  for (;;) {
+    if (::poll(pfd, 2, -1) >= 0) {
+      if (pfd[0].revents != 0) return true;
+      if (pfd[1].revents != 0) return false;
+      continue;
+    }
+    if (errno != EINTR) throw_errno("poll");
+  }
+}
+
+Waker::Waker() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  if (fd_ < 0) throw_errno("eventfd");
+}
+
+Waker::~Waker() { ::close(fd_); }
+
+void Waker::signal() {
+  const std::uint64_t one = 1;
+  // Only EINTR can fail here: the counter cannot realistically overflow.
+  while (::write(fd_, &one, sizeof(one)) < 0 && errno == EINTR) {
+  }
+}
+
+void Waker::clear() {
+  std::uint64_t count = 0;
+  // Reading resets the counter; EAGAIN means it was already clear.
+  while (::read(fd_, &count, sizeof(count)) < 0 && errno == EINTR) {
   }
 }
 

@@ -46,6 +46,24 @@ class RpcTimeout : public RpcError {
   using RpcError::RpcError;
 };
 
+// A wake-up fd (an eventfd) that interrupts Conn::wait_readable from another
+// thread.  Level-triggered: a signal() sent before the wait starts still
+// wakes it, and keeps waking every later wait until clear().
+class Waker {
+ public:
+  Waker();  // throws RpcError
+  ~Waker();
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  void signal();
+  void clear();
+  int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
+};
+
 struct Message {
   MsgType type = MsgType::kError;
   std::vector<std::uint8_t> payload;
@@ -77,9 +95,15 @@ class Conn {
   // EOF / reset / an over-long length prefix.
   Message recv_msg(TimePoint deadline);
 
-  // True when at least one byte is readable without blocking (poll with zero
-  // timeout): the front tier uses this to harvest responses opportunistically.
+  // True when at least one byte (or EOF, or an error) is readable without
+  // blocking (poll with zero timeout): the front tier uses this to settle
+  // pipelined acks, and to notice a dead peer, before it sends more.
   bool readable() const;
+
+  // Blocks until the stream is readable (true) or `wake` is signalled while
+  // it is not (false), with no deadline: the wait of an idle serve loop,
+  // whose only way out besides traffic is the waker.  EINTR retried.
+  bool wait_readable(const Waker& wake) const;
 
  private:
   void send_all(const std::uint8_t* data, std::size_t len, TimePoint deadline);

@@ -1,7 +1,6 @@
 #include "dist/worker.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -65,12 +64,14 @@ void WorkerServer::start() {
   }
   stopping_.store(false, std::memory_order_release);
   killed_.store(false, std::memory_order_release);
+  wake_.clear();
   running_.store(true, std::memory_order_release);
   server_ = std::thread([this] { serve_loop(); });
 }
 
 void WorkerServer::stop() {
   stopping_.store(true, std::memory_order_release);
+  wake_.signal();
   listener_.shutdown();
   if (server_.joinable()) server_.join();
   listener_.close();
@@ -83,6 +84,7 @@ void WorkerServer::stop() {
 
 void WorkerServer::kill() {
   stopping_.store(true, std::memory_order_release);
+  wake_.signal();
   listener_.shutdown();
   if (server_.joinable()) server_.join();
   listener_.close();
@@ -113,6 +115,7 @@ void WorkerServer::serve_forever() {
     if (!svc_->running()) svc_->start();
   }
   stopping_.store(false, std::memory_order_release);
+  wake_.clear();
   running_.store(true, std::memory_order_release);
   serve_loop();
   running_.store(false, std::memory_order_release);
@@ -144,22 +147,29 @@ void WorkerServer::serve_loop() {
 
 void WorkerServer::serve_connection(Conn& conn) {
   {
-    // A fresh connection means the previous one died, and its last reply may
-    // have died with it: re-queue that reply's egress so the next ack
-    // redelivers it (the front tier dedups if it did arrive).
+    // A fresh connection means the previous one died, and its unconfirmed
+    // replies may have died with it: re-queue their egress, in order, ahead
+    // of the rest so the next ack redelivers it (the front tier dedups what
+    // did arrive).
     std::lock_guard<std::mutex> lock(mu_);
-    while (!unconfirmed_.empty()) {
-      out_egress_.push_front(std::move(unconfirmed_.back()));
-      unconfirmed_.pop_back();
-    }
+    std::deque<EgressRecord> requeue;
+    for (auto& batch : unconfirmed_)
+      for (auto& rec : batch) requeue.push_back(std::move(rec));
+    for (auto& rec : out_egress_) requeue.push_back(std::move(rec));
+    out_egress_.swap(requeue);
+    unconfirmed_.clear();
   }
-  while (!stopping_.load(std::memory_order_acquire)) {
-    if (!conn.readable()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      continue;
-    }
+  // After stop() or kill(), requests the front already sent are still
+  // answered — at most its window of kMaxInflight — so it reads their acks
+  // and a clean EOF instead of a reset.
+  std::size_t after_stop = 0;
+  for (;;) {
     Message req;
     try {
+      if (!conn.wait_readable(wake_)) return;  // stopped, nothing in flight
+      if (stopping_.load(std::memory_order_acquire) &&
+          ++after_stop > kMaxInflight)
+        return;
       req = conn.recv_msg(Clock::now() + cfg_.io_timeout);
     } catch (const RpcError&) {
       // Disconnect (or a mid-message stall, which leaves the stream in an
@@ -171,9 +181,11 @@ void WorkerServer::serve_connection(Conn& conn) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.requests;
-      // Lockstep: a new request on this connection proves the previous
-      // reply was received — its egress is now safely the front's problem.
-      unconfirmed_.clear();
+      // Request n proves replies up to n - kMaxInflight arrived: their
+      // egress is now safely the front's problem.  The reply to this request
+      // opens the newest unconfirmed entry.
+      while (unconfirmed_.size() >= kMaxInflight) unconfirmed_.pop_front();
+      unconfirmed_.emplace_back();
     }
     try {
       if (!handle(conn, req)) return;
@@ -247,10 +259,23 @@ void WorkerServer::harvest_egress() {
   }
 }
 
+void WorkerServer::settle_earlier(std::size_t fresh) {
+  // The shards finish an earlier request's frames while this one is read
+  // and ingested, so the wait is short; the deadline only bounds a wedged
+  // service, which then answers with what it has.
+  const TimePoint deadline = Clock::now() + cfg_.io_timeout;
+  harvest_egress();
+  while (pending_seq_.size() > fresh && Clock::now() < deadline) {
+    std::this_thread::yield();
+    harvest_egress();
+  }
+}
+
 std::vector<EgressRecord> WorkerServer::take_egress(std::size_t limit) {
   std::vector<EgressRecord> out;
   while (!out_egress_.empty() && out.size() < limit) {
-    unconfirmed_.push_back(out_egress_.front());  // until the next request
+    // Held until a later request confirms this reply arrived.
+    unconfirmed_.back().push_back(out_egress_.front());
     out.push_back(std::move(out_egress_.front()));
     out_egress_.pop_front();
   }
@@ -289,6 +314,7 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
   IngestAck ack;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    std::size_t fresh = 0;  // frames this request added to pending_seq_
     for (const FrameRecord& f : batch.frames) {
       ack.seqs.push_back(f.seq);
       if (f.slot >= applied_seq_.size()) {
@@ -321,6 +347,7 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
       if (res.accepted) {
         applied_seq_[f.slot] = f.seq;
         pending_seq_.push_back(f.seq);
+        ++fresh;
         ack.statuses.push_back(FrameStatus::kAccepted);
         ++stats_.frames_accepted;
       } else {
@@ -328,7 +355,7 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         ++stats_.frames_rejected;
       }
     }
-    harvest_egress();
+    settle_earlier(fresh);
     ack.egress = take_egress(out_egress_.size());
     ++ingest_count_;
   }
@@ -346,7 +373,7 @@ void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
   HeartbeatAck ack;
   ack.nonce = hb.nonce;
   std::lock_guard<std::mutex> lock(mu_);
-  harvest_egress();
+  settle_earlier(0);
   ack.delivered = svc_->stats().delivered;
   ack.egress = take_egress(out_egress_.size());
   reply(conn, MsgType::kHeartbeatAck, encode_heartbeat_ack(ack));

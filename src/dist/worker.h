@@ -31,11 +31,15 @@
 //   * A lost connection is not a crash: the serve loop returns to accept(),
 //     so a front tier that reconnects (with a fresh HELLO) resumes against
 //     the same state and the same dedup table.
+//   * Event-driven: the serve loop blocks in one poll on the connection and
+//     a wake fd, so a request is served the moment it lands, and stop() /
+//     kill() interrupt an idle connection at once.
 //
-// kill() simulates a process crash for in-process chaos tests: connections
-// drop mid-request and ALL service state is discarded (a SIGKILL'd process
-// loses its memory) — recovery must come from the front tier's checkpoint +
-// replay, which is exactly what the chaos suite verifies.
+// kill() simulates a process crash for in-process chaos tests: the
+// connection drops (once the requests already sent are answered, as if the
+// crash came a moment later) and ALL service state is discarded (a SIGKILL'd
+// process loses its memory) — recovery must come from the front tier's
+// checkpoint + replay, which is exactly what the chaos suite verifies.
 #pragma once
 
 #include <atomic>
@@ -134,6 +138,11 @@ class WorkerServer {
   // Drains settled service egress and pairs it with the pending global seqs
   // (FIFO: the service preserves ingest order).  Appends to out_egress_.
   void harvest_egress();
+  // Harvests until only the newest `fresh` pending frames remain: every
+  // reply carries the egress of every frame accepted by an earlier request,
+  // so what an ack piggybacks depends on the request sequence alone, not on
+  // how fast the shards happened to run.
+  void settle_earlier(std::size_t fresh);
   // Moves up to `limit` harvested egress records into a response.
   std::vector<EgressRecord> take_egress(std::size_t limit);
 
@@ -164,18 +173,20 @@ class WorkerServer {
   std::vector<std::uint64_t> applied_seq_;  // per slot, 0 = nothing applied
   std::deque<std::uint64_t> pending_seq_;   // global seqs of accepted frames
   std::deque<EgressRecord> out_egress_;     // harvested, not yet returned
-  // Egress included in the most recent reply.  Request/response lockstep
-  // means the next request on the same connection proves the reply arrived
-  // (confirmed -> dropped); a NEW connection instead means the reply may
-  // have died with the old one, so these re-queue onto out_egress_.  The
-  // front tier's window dedups the case where the reply did arrive.
-  std::deque<EgressRecord> unconfirmed_;
+  // Egress of the most recent replies, one entry per reply, oldest first.
+  // The front keeps at most kMaxInflight requests outstanding, so request n
+  // on the same connection proves replies up to n - kMaxInflight arrived
+  // (confirmed -> dropped); a NEW connection instead means any of the rest
+  // may have died with the old one, so they re-queue onto out_egress_.  The
+  // front tier's window dedups the ones that did arrive.
+  std::deque<std::vector<EgressRecord>> unconfirmed_;
   WorkerStats stats_;
   std::uint64_t conns_seen_ = 0;
   std::uint32_t ingest_count_ = 0;          // for the stall_every knob
   banzai::Packet scratch_;                  // re-parse target for dedup acks
 
   Listener listener_;
+  Waker wake_;  // signalled by stop()/kill() to end an idle serve_connection
   std::uint16_t port_ = 0;
   std::thread server_;
   std::atomic<bool> running_{false};

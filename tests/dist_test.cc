@@ -7,11 +7,14 @@
 // reconnect storm) live in dist_chaos_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -471,6 +474,51 @@ TEST(DistClusterTest, KillWithoutAnyCheckpointReplaysFromScratch) {
     ASSERT_EQ(got[i], expected[i]) << "frame " << i;
 }
 
+// ---- serve-loop latency ----------------------------------------------------
+
+// An idle worker must answer the moment a request lands: the serve loop
+// blocks in poll on the connection, not in a sleep between readiness checks
+// (a 2 ms nap put most round trips at 2 ms, and the median with them).
+TEST(DistServeLoopTest, BackToBackHeartbeatsToAnIdleWorkerAreFast) {
+  Cluster c(1);
+  c.front->heartbeat();  // warm the path
+  std::vector<std::chrono::steady_clock::duration> rtt;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 100; ++i) {
+    const auto a = std::chrono::steady_clock::now();
+    c.front->heartbeat();
+    rtt.push_back(std::chrono::steady_clock::now() - a);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(c.front->stats().heartbeats, 101u);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(150));
+  std::sort(rtt.begin(), rtt.end());
+  EXPECT_LT(rtt[rtt.size() / 2], std::chrono::microseconds(500))
+      << "median heartbeat round trip "
+      << std::chrono::duration_cast<std::chrono::microseconds>(
+             rtt[rtt.size() / 2])
+             .count()
+      << " us";
+}
+
+// stop() and kill() must interrupt a serve loop parked on an idle, connected
+// front promptly: the wait has no deadline, so only the wake fd ends it.
+TEST(DistServeLoopTest, StopAndKillReturnPromptlyWithAnIdleFront) {
+  Cluster c(2);
+  c.front->heartbeat();  // both serve loops now wait on a live connection
+  auto timed = [](auto&& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::steady_clock::now() - t0;
+  };
+  EXPECT_LT(timed([&] { c.workers[0]->stop(); }),
+            std::chrono::milliseconds(100));
+  EXPECT_LT(timed([&] { c.workers[1]->kill(); }),
+            std::chrono::milliseconds(100));
+  EXPECT_FALSE(c.workers[0]->running());
+  EXPECT_FALSE(c.workers[1]->running());
+}
+
 // ---- the corrupt-restore guard (raw protocol) ------------------------------
 
 // The worker serves one connection at a time, so these tests skip the front
@@ -502,6 +550,10 @@ struct RawWorker {
         std::make_unique<WorkerServer>(compiled.machine(), rx, tx, wc);
     worker->start();
     conn = dist::connect_local(worker->port(), dist::Millis(2000));
+    hello();
+  }
+
+  void hello() {
     dist::Hello h;
     h.algorithm = "flowlets";
     h.num_slots = kSlots;
@@ -688,6 +740,78 @@ TEST(DistWorkerDedupTest, RetriedRejectKeepsItsStatusAfterWatermarkAdvance) {
   ASSERT_EQ(ack.statuses.size(), 2u);
   EXPECT_EQ(ack.statuses[0], reject);
   EXPECT_EQ(ack.statuses[1], dist::FrameStatus::kDuplicate);
+}
+
+// The pipelined ingest window's redelivery contract: with up to
+// kMaxInflight requests outstanding, request n confirms only the replies up
+// to n - kMaxInflight, so the worker must hold the egress of every later
+// reply until then.  Here the front "dies" having read just the first of
+// kMaxInflight acks; after a reconnect, the first reply must redeliver all
+// the egress the unread acks carried.
+TEST(DistWorkerWindowTest, ReconnectRedeliversEgressOfUnreadPipelinedAcks) {
+  RawWorker w;
+  const auto frames = w.make_frames(8 * dist::kMaxInflight, 89);
+  const dist::TimePoint deadline = dist::Clock::now() + dist::Millis(2000);
+  for (std::size_t b = 0; b < dist::kMaxInflight; ++b) {
+    dist::IngestBatch batch;
+    for (std::size_t i = 8 * b; i < 8 * (b + 1); ++i) {
+      dist::FrameRecord rec;
+      rec.seq = w.next_seq++;
+      rec.slot = w.slot_of(frames[i]);
+      rec.bytes = frames[i];
+      batch.frames.push_back(std::move(rec));
+    }
+    w.conn.send_msg(MsgType::kIngestBatch, dist::encode_ingest_batch(batch),
+                    deadline);
+    // Let the shards settle each batch before the next request lands, so
+    // every later ack has egress to carry.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const auto first = w.conn.recv_msg(deadline);
+  ASSERT_EQ(first.type, MsgType::kIngestAck);
+  const auto ack1 =
+      dist::decode_ingest_ack(first.payload.data(), first.payload.size());
+  std::set<std::uint64_t> seen;
+  for (const auto& rec : ack1.egress) seen.insert(rec.seq);
+  ASSERT_LT(seen.size(), frames.size());
+
+  // Drop the connection with kMaxInflight - 1 acks unread, then come back.
+  w.conn.close();
+  w.conn = dist::connect_local(w.worker->port(), dist::Millis(2000));
+  w.hello();
+  dist::Heartbeat hb;
+  hb.nonce = 5;
+  const auto resp = w.call(MsgType::kHeartbeat, dist::encode_heartbeat(hb));
+  ASSERT_EQ(resp.type, MsgType::kHeartbeatAck);
+  const auto hb_ack =
+      dist::decode_heartbeat_ack(resp.payload.data(), resp.payload.size());
+  std::set<std::uint64_t> redelivered;
+  for (const auto& rec : hb_ack.egress) redelivered.insert(rec.seq);
+  for (std::uint64_t seq = 1; seq < w.next_seq; ++seq) {
+    if (seen.count(seq) == 0) {
+      EXPECT_EQ(redelivered.count(seq), 1u)
+          << "egress of seq " << seq << " was lost with an unread ack";
+    }
+  }
+}
+
+// The ingest window changed what a request confirms, so it bumped the
+// protocol to v3: a v2 worker would drop unconfirmed egress on every
+// request and lose it under pipelining.  The HELLO check keeps the two eras
+// apart in both directions; this pins the worker's side.
+TEST(DistWorkerWindowTest, PreWindowProtocolIsRefusedAtHello) {
+  RawWorker w;
+  w.conn = dist::connect_local(w.worker->port(), dist::Millis(2000));
+  dist::Hello h;
+  h.version = 2;
+  h.algorithm = "flowlets";
+  h.num_slots = kSlots;
+  h.header_bytes = static_cast<std::uint32_t>(w.rx->header_bytes());
+  EXPECT_EQ(w.call(MsgType::kHello, dist::encode_hello(h)).type,
+            MsgType::kError);
+  h.version = dist::kProtocolVersion;
+  EXPECT_EQ(w.call(MsgType::kHello, dist::encode_hello(h)).type,
+            MsgType::kHelloAck);
 }
 
 // An empty state blob in a RestoreReq is the front's explicit "start from
