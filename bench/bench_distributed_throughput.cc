@@ -5,10 +5,10 @@
 //   $ ./build/bench/bench_distributed_throughput [num_frames]
 //
 // Workers here are in-process WorkerServer instances behind real loopback
-// TCP, so the numbers measure the protocol cost (framing, batching, one
-// outstanding request per worker) and the scale-out win, not fork/exec
-// overhead.  Every run cross-checks the egress count so a fast-but-wrong
-// configuration cannot post a number.
+// TCP, so the numbers measure the protocol cost (framing, batching, up to
+// kMaxInflight ingest batches in flight per worker) and the scale-out win,
+// not fork/exec overhead.  Every run cross-checks the egress count so a
+// fast-but-wrong configuration cannot post a number.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
