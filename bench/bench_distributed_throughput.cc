@@ -108,7 +108,6 @@ int main(int argc, char** argv) {
       wc.num_slots = kSlots;
       wc.num_shards = 2;
       wc.batch_size = 64;
-      wc.ring_capacity = 1024;
       wc.flow_key = {"sport", "dport"};
       workers.push_back(std::make_unique<dist::WorkerServer>(
           compiled.machine(), rx, tx, wc));

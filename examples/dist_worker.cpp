@@ -13,7 +13,8 @@
 //
 // Options: --port N (default 0 = ephemeral, printed), --algorithm NAME
 // (default flowlets), --slots N (default 16, must match the fleet),
-// --shards N (default 2).
+// --shards N (default 2: worker-local threads — the serve thread plus N-1
+// helpers that each drain one shard of every ingest batch).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "dist/framing.h"
 #include "dist/rpc.h"
 #include "dist/worker.h"
+#include "sim/partition.h"
 #include "wire/codec.h"
 
 namespace {
@@ -47,12 +49,17 @@ int smoke(dist::WorkerServer& worker,
     return 1;
   }
 
-  // One small batch: a frame deparsed from an all-defaults packet.
+  // One small batch: a frame deparsed from an all-defaults packet, declared
+  // on the slot its flow key hashes to (the worker rejects any other).
   banzai::Packet p(machine.fields().size());
+  std::uint64_t h = 0;
+  for (const char* key : {"sport", "dport"})
+    h = netsim::mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                              p.get(machine.fields().id_of(key)))));
   dist::IngestBatch batch;
   dist::FrameRecord rec;
   rec.seq = 1;
-  rec.slot = 0;
+  rec.slot = static_cast<std::uint32_t>(h % num_slots);
   rec.bytes = rx->deparse(p);
   batch.frames.push_back(std::move(rec));
   conn.send_msg(MsgType::kIngestBatch, dist::encode_ingest_batch(batch),
@@ -113,7 +120,11 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--port N] [--algorithm NAME] [--slots N] "
-                   "[--shards N] [--smoke]\n",
+                   "[--shards N] [--smoke]\n"
+                   "  --shards N  worker-local threads (default 2): the "
+                   "serve thread plus\n"
+                   "              N-1 helpers, each draining one shard of "
+                   "every ingest batch\n",
                    argv[0]);
       return 2;
     }

@@ -89,6 +89,13 @@ std::vector<std::uint8_t> Reader::blob() {
   return b;
 }
 
+const std::uint8_t* Reader::take(std::size_t n) {
+  need(n);
+  const std::uint8_t* at = p_;
+  p_ += n;
+  return at;
+}
+
 void Reader::expect_end() const {
   if (p_ != end_) throw FramingError("trailing bytes after payload");
 }
@@ -115,6 +122,13 @@ std::vector<EgressRecord> read_egress(Reader& r) {
     out.push_back(std::move(e));
   }
   return out;
+}
+
+// Payload bytes write_slot_states adds, so an encoder can reserve them.
+std::size_t slot_states_size(const std::vector<SlotState>& slots) {
+  std::size_t size = 4;
+  for (const SlotState& s : slots) size += 16 + s.state.size();
+  return size;
 }
 
 void write_slot_states(Writer& w, const std::vector<SlotState>& slots) {
@@ -182,15 +196,7 @@ HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n) {
 }
 
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m) {
-  std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(m.frames.size()));
-  for (const FrameRecord& f : m.frames) {
-    w.u64(f.seq);
-    w.u32(f.slot);
-    w.blob(f.bytes);
-  }
-  return out;
+  return encode_ingest_frames(m.frames.begin(), m.frames.end());
 }
 
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n) {
@@ -301,6 +307,7 @@ SnapshotReq decode_snapshot_req(const std::uint8_t* p, std::size_t n) {
 
 std::vector<std::uint8_t> encode_snapshot_resp(const SnapshotResp& m) {
   std::vector<std::uint8_t> out;
+  out.reserve(slot_states_size(m.slots) + 4);
   Writer w(out);
   write_slot_states(w, m.slots);
   write_egress(w, m.egress);
@@ -398,15 +405,28 @@ std::vector<std::uint8_t> serialize_state_store(const banzai::StateStore& s) {
   std::sort(vars.begin(), vars.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  std::size_t size = 4;
+  for (const auto& [name, var] : vars)
+    size += 2 + name.size() + 1 + 4 + 4 * var->size();
   std::vector<std::uint8_t> out;
+  out.reserve(size);
   Writer w(out);
   w.u32(static_cast<std::uint32_t>(vars.size()));
   for (const auto& [name, var] : vars) {
     w.str(name);
     w.u8(var->is_scalar() ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(var->size()));
-    for (banzai::Value v : var->cells())
-      w.u32(static_cast<std::uint32_t>(v));
+    const std::size_t at = out.size();
+    out.resize(at + 4 * var->size());
+    std::uint8_t* cell = out.data() + at;
+    for (banzai::Value v : var->cells()) {
+      const auto u = static_cast<std::uint32_t>(v);
+      cell[0] = static_cast<std::uint8_t>(u);
+      cell[1] = static_cast<std::uint8_t>(u >> 8);
+      cell[2] = static_cast<std::uint8_t>(u >> 16);
+      cell[3] = static_cast<std::uint8_t>(u >> 24);
+      cell += 4;
+    }
   }
   return out;
 }
@@ -428,11 +448,16 @@ banzai::StateStore deserialize_state_store(const std::uint8_t* p,
     if (scalar && ncells != 1)
       throw FramingError("scalar state var with more than one cell");
     if (store.contains(name)) throw FramingError("duplicate state var name");
+    // One bounds check for all cells, before the variable is allocated.
+    const std::uint8_t* cells = r.take(4 * static_cast<std::size_t>(ncells));
     store.declare(name, ncells, scalar);
-    banzai::StateVar& var = store.var(name);
-    for (std::uint32_t c = 0; c < ncells; ++c)
-      var.store(static_cast<banzai::Value>(c),
-                static_cast<banzai::Value>(r.u32()));
+    banzai::Value* dst = store.var(name).data();
+    for (std::uint32_t c = 0; c < ncells; ++c, cells += 4)
+      dst[c] = static_cast<banzai::Value>(
+          static_cast<std::uint32_t>(cells[0]) |
+          static_cast<std::uint32_t>(cells[1]) << 8 |
+          static_cast<std::uint32_t>(cells[2]) << 16 |
+          static_cast<std::uint32_t>(cells[3]) << 24);
   }
   r.expect_end();
   return store;

@@ -115,6 +115,8 @@ class Reader {
   std::uint64_t u64();
   std::string str();
   std::vector<std::uint8_t> blob();
+  // Bounds-checks n bytes once and returns them for the caller to decode.
+  const std::uint8_t* take(std::size_t n);
 
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   // Decoders call this last: trailing bytes mean a version mismatch or
@@ -229,6 +231,24 @@ Hello decode_hello(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m);
 HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m);
+// The INGEST_BATCH payload of the FrameRecords [first, last), encoded in
+// place: the same bytes encode_ingest_batch emits for a batch holding copies
+// of them, without making the copies.
+template <typename It>
+std::vector<std::uint8_t> encode_ingest_frames(It first, It last) {
+  std::size_t size = 4, count = 0;
+  for (It it = first; it != last; ++it, ++count) size += 16 + it->bytes.size();
+  std::vector<std::uint8_t> out;
+  out.reserve(size);
+  Writer w(out);
+  w.u32(static_cast<std::uint32_t>(count));
+  for (It it = first; it != last; ++it) {
+    w.u64(it->seq);
+    w.u32(it->slot);
+    w.blob(it->bytes);
+  }
+  return out;
+}
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m);
 IngestAck decode_ingest_ack(const std::uint8_t* p, std::size_t n);

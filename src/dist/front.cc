@@ -216,19 +216,18 @@ void FrontTier::process_ack_frames(const std::vector<std::uint64_t>& seqs,
   }
 }
 
-void FrontTier::process_egress(const std::vector<EgressRecord>& egress) {
-  for (const EgressRecord& rec : egress) {
+void FrontTier::process_egress(std::vector<EgressRecord>&& egress) {
+  for (EgressRecord& rec : egress) {
     if (!valid_egress_seq(rec.seq)) continue;
-    window_.deliver(rec.seq, rec.bytes);
+    window_.deliver(rec.seq, std::move(rec.bytes));
   }
 }
 
 void FrontTier::send_batch(WorkerLink& w) {
-  IngestBatch batch;
   const std::size_t n = std::min(cfg_.max_batch, w.outbox.size() - w.unacked);
-  for (std::size_t i = 0; i < n; ++i)
-    batch.frames.push_back(w.outbox[w.unacked + i]);
-  std::vector<std::uint8_t> payload = encode_ingest_batch(batch);
+  const auto first = w.outbox.begin() + static_cast<std::ptrdiff_t>(w.unacked);
+  std::vector<std::uint8_t> payload =
+      encode_ingest_frames(first, first + static_cast<std::ptrdiff_t>(n));
   w.conn.send_msg(MsgType::kIngestBatch, payload,
                   Clock::now() + cfg_.rpc_timeout);
   w.unacked += n;
@@ -243,14 +242,13 @@ void FrontTier::settle_one(WorkerLink& w) {
   if (w.inflight.empty()) throw FramingError("reply without a request");
   if (resp.type != MsgType::kIngestAck)
     throw FramingError("unexpected reply to ingest");
-  const IngestAck ack =
-      decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  IngestAck ack = decode_ingest_ack(resp.payload.data(), resp.payload.size());
   Inflight batch = std::move(w.inflight.front());
   w.inflight.pop_front();
   w.detector.on_success(Clock::now());
   stats_.frames_sent += batch.frames;
   process_ack_frames(ack.seqs, ack.statuses);
-  process_egress(ack.egress);
+  process_egress(std::move(ack.egress));
   if (batch.dup) return;
   for (std::size_t i = 0; i < batch.frames; ++i) w.outbox.pop_front();
   w.unacked -= batch.frames;
@@ -346,10 +344,10 @@ void FrontTier::flush() {
           const Message resp = call(w, MsgType::kFlushReq, {});
           if (resp.type != MsgType::kFlushAck)
             throw FramingError("unexpected reply to flush");
-          const FlushAck ack =
+          FlushAck ack =
               decode_flush_ack(resp.payload.data(), resp.payload.size());
           w.detector.on_success(Clock::now());
-          process_egress(ack.egress);
+          process_egress(std::move(ack.egress));
         } catch (const RpcTimeout&) {
           on_rpc_failure(w, true);
         } catch (const RpcError&) {
@@ -386,7 +384,7 @@ void FrontTier::checkpoint() {
       SnapshotResp sr =
           decode_snapshot_resp(resp.payload.data(), resp.payload.size());
       w.detector.on_success(Clock::now());
-      process_egress(sr.egress);
+      process_egress(std::move(sr.egress));
       for (SlotState& ss : sr.slots) {
         if (ss.slot >= resend_.size()) continue;
         // Everything up to applied_seq is baked into the blob: the resend
@@ -421,11 +419,11 @@ void FrontTier::heartbeat() {
           call(w, MsgType::kHeartbeat, encode_heartbeat(hb));
       if (resp.type != MsgType::kHeartbeatAck)
         throw FramingError("unexpected reply to heartbeat");
-      const HeartbeatAck ack =
+      HeartbeatAck ack =
           decode_heartbeat_ack(resp.payload.data(), resp.payload.size());
       if (ack.nonce != hb.nonce) throw FramingError("heartbeat nonce mismatch");
       w.detector.on_success(Clock::now());
-      process_egress(ack.egress);
+      process_egress(std::move(ack.egress));
       ++stats_.heartbeats;
     } catch (const RpcTimeout&) {
       on_rpc_failure(w, true);
@@ -590,7 +588,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
         SnapshotResp sr =
             decode_snapshot_resp(resp.payload.data(), resp.payload.size());
         src.detector.on_success(Clock::now());
-        process_egress(sr.egress);
+        process_egress(std::move(sr.egress));
         for (SlotState& ss : sr.slots) {
           if (ss.slot != slot) continue;
           auto& buf = resend_[slot];

@@ -265,7 +265,8 @@ class FrontTier {
   bool settle_ready(WorkerLink& w);
   void process_ack_frames(const std::vector<std::uint64_t>& seqs,
                           const std::vector<FrameStatus>& statuses);
-  void process_egress(const std::vector<EgressRecord>& egress);
+  // Moves each record's bytes into the window.
+  void process_egress(std::vector<EgressRecord>&& egress);
   // Sends one worker's outbox in pipelined batches, with retry/backoff;
   // migrates and re-routes if the worker dies.  Without `drain` it sends
   // only full batches and returns with up to kMaxInflight still in flight;

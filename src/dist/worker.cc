@@ -1,10 +1,6 @@
 #include "dist/worker.h"
 
-#include <algorithm>
-#include <stdexcept>
 #include <utility>
-
-#include "wire/codec.h"
 
 namespace dist {
 
@@ -28,28 +24,35 @@ WorkerServer::WorkerServer(const banzai::Machine& prototype,
       rx_(std::move(rx)),
       tx_(std::move(tx)),
       cfg_(std::move(cfg)),
-      initial_state_(proto_.snapshot_state()),
-      scratch_(rx_->num_table_fields()) {
-  svc_cfg_.num_shards = cfg_.num_shards;
-  svc_cfg_.num_slots = cfg_.num_slots;
-  svc_cfg_.batch_size = cfg_.batch_size;
-  svc_cfg_.ring_capacity = cfg_.ring_capacity;
-  // Lossless ingest: the replay protocol relies on "accepted implies
-  // applied", so the worker never sheds — backpressure propagates to the
-  // front tier through RPC latency instead.
-  svc_cfg_.backpressure = banzai::Backpressure::kBlock;
+      initial_state_(proto_.snapshot_state()) {
+  if (cfg_.num_shards == 0) cfg_.num_shards = 1;
   for (const auto& name : cfg_.flow_key)
-    svc_cfg_.flow_key.push_back(proto_.fields().id_of(name));
-  rebuild_service();
+    flow_key_.push_back(proto_.fields().id_of(name));
+  reset_state();
+  groups_.resize(cfg_.num_shards);
+  for (std::size_t s = 1; s < cfg_.num_shards; ++s)
+    helpers_.emplace_back([this, s] { helper_loop(s); });
 }
 
-WorkerServer::~WorkerServer() { stop(); }
+WorkerServer::~WorkerServer() {
+  stop();
+  {
+    std::lock_guard<std::mutex> lock(fj_mu_);
+    fj_exit_ = true;
+  }
+  fj_start_.notify_all();
+  for (std::thread& h : helpers_) h.join();
+}
 
-void WorkerServer::rebuild_service() {
-  svc_ = std::make_unique<banzai::FleetService>(proto_, svc_cfg_);
-  svc_->set_wire(rx_, tx_);
-  applied_seq_.assign(svc_cfg_.num_slots, 0);
-  pending_seq_.clear();
+std::unique_ptr<banzai::ShardCore> WorkerServer::make_core() const {
+  return std::make_unique<banzai::ShardCore>(proto_, cfg_.num_slots,
+                                             cfg_.num_shards, cfg_.batch_size,
+                                             flow_key_);
+}
+
+void WorkerServer::reset_state() {
+  core_ = make_core();
+  applied_seq_.assign(cfg_.num_slots, 0);
   out_egress_.clear();
   unconfirmed_.clear();
 }
@@ -58,12 +61,7 @@ void WorkerServer::start() {
   if (running()) return;
   listener_.listen(port_ != 0 ? port_ : cfg_.port);
   port_ = listener_.port();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    svc_->start();
-  }
   stopping_.store(false, std::memory_order_release);
-  killed_.store(false, std::memory_order_release);
   wake_.clear();
   running_.store(true, std::memory_order_release);
   server_ = std::thread([this] { serve_loop(); });
@@ -75,29 +73,18 @@ void WorkerServer::stop() {
   listener_.shutdown();
   if (server_.joinable()) server_.join();
   listener_.close();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (svc_) svc_->stop();
-  }
   running_.store(false, std::memory_order_release);
 }
 
 void WorkerServer::kill() {
-  stopping_.store(true, std::memory_order_release);
-  wake_.signal();
-  listener_.shutdown();
-  if (server_.joinable()) server_.join();
-  listener_.close();
+  stop();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    svc_->stop();
     // A killed process loses its memory: fresh slots, zeroed dedup table,
     // no buffered egress.  Whatever it had applied since the last checkpoint
     // exists nowhere but in the front tier's resend buffer.
-    rebuild_service();
+    std::lock_guard<std::mutex> lock(mu_);
+    reset_state();
   }
-  killed_.store(true, std::memory_order_release);
-  running_.store(false, std::memory_order_release);
 }
 
 void WorkerServer::restart() {
@@ -109,10 +96,6 @@ void WorkerServer::serve_forever() {
   if (!listener_.valid()) {
     listener_.listen(port_ != 0 ? port_ : cfg_.port);
     port_ = listener_.port();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!svc_->running()) svc_->start();
   }
   stopping_.store(false, std::memory_order_release);
   wake_.clear();
@@ -243,44 +226,17 @@ void WorkerServer::reply_error(Conn& conn, const std::string& what) {
   }
 }
 
-void WorkerServer::harvest_egress() {
-  auto frames = svc_->drain_egress_frames();
-  for (auto& f : frames) {
-    // The service settles egress strictly in ingest order and the worker is
-    // lossless (kBlock, no DropTail), so settled frames pair 1:1 FIFO with
-    // the global seqs of accepted ingest.
-    if (pending_seq_.empty())
-      throw std::logic_error("egress without a pending sequence number");
-    EgressRecord rec;
-    rec.seq = pending_seq_.front();
-    pending_seq_.pop_front();
-    rec.bytes = std::move(f);
-    out_egress_.push_back(std::move(rec));
-  }
-}
-
-void WorkerServer::settle_earlier(std::size_t fresh) {
-  // The shards finish an earlier request's frames while this one is read
-  // and ingested, so the wait is short; the deadline only bounds a wedged
-  // service, which then answers with what it has.
-  const TimePoint deadline = Clock::now() + cfg_.io_timeout;
-  harvest_egress();
-  while (pending_seq_.size() > fresh && Clock::now() < deadline) {
-    std::this_thread::yield();
-    harvest_egress();
-  }
-}
-
-std::vector<EgressRecord> WorkerServer::take_egress(std::size_t limit) {
+std::vector<EgressRecord> WorkerServer::take_egress() {
   std::vector<EgressRecord> out;
-  while (!out_egress_.empty() && out.size() < limit) {
-    // Held until a later request confirms this reply arrived.
-    unconfirmed_.back().push_back(out_egress_.front());
-    out.push_back(std::move(out_egress_.front()));
-    out_egress_.pop_front();
-  }
-  stats_.egress_returned += out.size();
+  out.reserve(out_egress_.size());
+  for (EgressRecord& rec : out_egress_) out.push_back(std::move(rec));
+  out_egress_.clear();
   return out;
+}
+
+void WorkerServer::hold_unconfirmed(std::vector<EgressRecord>&& egress) {
+  stats_.egress_returned += egress.size();
+  unconfirmed_.back() = std::move(egress);  // opened for this request
 }
 
 void WorkerServer::handle_hello(Conn& conn, const Message& req) {
@@ -308,55 +264,124 @@ void WorkerServer::handle_hello(Conn& conn, const Message& req) {
   reply(conn, MsgType::kHelloAck, encode_hello_ack(ack));
 }
 
+FrameStatus WorkerServer::verdict(const FrameRecord& f,
+                                  banzai::Packet& pkt) const {
+  const wire::ParseResult pr =
+      rx_->parse_exact(f.bytes.data(), f.bytes.size(), pkt);
+  if (!pr.ok()) return reject_status(pr.status);
+  // The front keys dedup on the slot it declares; the state a frame mutates
+  // is the slot its flow key hashes to here.  They must agree, or a frame
+  // would move one slot's watermark while it mutates another slot's state.
+  if (core_->slot_of(pkt) != f.slot) return FrameStatus::kRejectBadValue;
+  return FrameStatus::kAccepted;
+}
+
+void WorkerServer::drain_group(std::size_t shard) {
+  ShardGroup& g = groups_[shard];
+  g.out.resize(g.in.size());
+  core_->drain(shard, g.slots.data(), g.in.data(), g.in.size(), g.out.data());
+}
+
+void WorkerServer::drain_groups() {
+  if (helpers_.empty()) {
+    drain_group(0);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(fj_mu_);
+    ++round_;
+    busy_ = helpers_.size();
+  }
+  fj_start_.notify_all();
+  drain_group(0);
+  std::unique_lock<std::mutex> lock(fj_mu_);
+  fj_done_.wait(lock, [this] { return busy_ == 0; });
+}
+
+void WorkerServer::helper_loop(std::size_t shard) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(fj_mu_);
+      fj_start_.wait(lock, [&] { return fj_exit_ || round_ != seen; });
+      if (fj_exit_) return;
+      seen = round_;
+    }
+    drain_group(shard);
+    bool last;
+    {
+      std::lock_guard<std::mutex> lock(fj_mu_);
+      last = --busy_ == 0;
+    }
+    if (last) fj_done_.notify_one();
+  }
+}
+
 void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
   const IngestBatch batch =
       decode_ingest_batch(req.payload.data(), req.payload.size());
   IngestAck ack;
+  std::vector<std::uint8_t> payload;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::size_t fresh = 0;  // frames this request added to pending_seq_
+    ack.seqs.reserve(batch.frames.size());
+    ack.statuses.reserve(batch.frames.size());
     for (const FrameRecord& f : batch.frames) {
       ack.seqs.push_back(f.seq);
-      if (f.slot >= applied_seq_.size()) {
-        ack.statuses.push_back(FrameStatus::kRejectBadValue);
-        ++stats_.frames_rejected;
-        continue;
-      }
-      if (f.seq <= applied_seq_[f.slot]) {
-        // A retry or a network duplicate: the at-least-once channel meeting
-        // the exactly-once state machine.  An APPLIED frame dedups to
-        // kDuplicate — but a REJECTED frame never advanced applied_seq_,
-        // and once a later frame in the slot did, a retried reject (after a
-        // lost ack) lands here too.  Answering it kDuplicate would be fatal:
-        // the front only tombstones reject statuses, so the seq would never
-        // settle and the egress watermark would stall forever.  Parsing is
-        // deterministic and stateless on identical bytes, so re-parsing
-        // reconstructs the original verdict exactly.
-        const wire::ParseResult pr =
-            rx_->parse_exact(f.bytes.data(), f.bytes.size(), scratch_);
-        if (!pr.ok()) {
-          ack.statuses.push_back(reject_status(pr.status));
-          ++stats_.frames_rejected;
+      FrameStatus st = FrameStatus::kRejectBadValue;
+      if (f.slot < applied_seq_.size()) {
+        const std::size_t shard = f.slot % cfg_.num_shards;
+        ShardGroup& g = groups_[shard];
+        g.in.emplace_back(rx_->num_table_fields());
+        st = verdict(f, g.in.back());
+        // At or below the slot's watermark is a retry or a network
+        // duplicate: the at-least-once channel meeting the exactly-once
+        // state machine.  Only an APPLIED frame dedups to kDuplicate.  A
+        // REJECTED frame never advanced applied_seq_, but once a later
+        // frame in the slot did, its retry (after a lost ack) lands here
+        // too, and answering it kDuplicate would be fatal: the front only
+        // tombstones reject statuses, so the seq would never settle.  The
+        // verdict is deterministic on identical bytes, so it is simply
+        // recomputed.
+        if (st == FrameStatus::kAccepted && f.seq <= applied_seq_[f.slot])
+          st = FrameStatus::kDuplicate;
+        if (st == FrameStatus::kAccepted) {
+          g.slots.push_back(f.slot);
+          arrivals_.emplace_back(f.seq, shard);
+          applied_seq_[f.slot] = f.seq;
         } else {
-          ack.statuses.push_back(FrameStatus::kDuplicate);
-          ++stats_.frames_duplicate;
+          g.in.pop_back();
         }
-        continue;
       }
-      const auto res = svc_->ingest_frame(f.bytes.data(), f.bytes.size());
-      if (res.accepted) {
-        applied_seq_[f.slot] = f.seq;
-        pending_seq_.push_back(f.seq);
-        ++fresh;
-        ack.statuses.push_back(FrameStatus::kAccepted);
+      ack.statuses.push_back(st);
+      if (st == FrameStatus::kAccepted)
         ++stats_.frames_accepted;
-      } else {
-        ack.statuses.push_back(reject_status(res.parse.status));
+      else if (st == FrameStatus::kDuplicate)
+        ++stats_.frames_duplicate;
+      else
         ++stats_.frames_rejected;
-      }
     }
-    settle_earlier(fresh);
-    ack.egress = take_egress(out_egress_.size());
+
+    drain_groups();
+    // Redelivery owed from a lost connection goes first, then this
+    // request's own egress in arrival order.
+    ack.egress = take_egress();
+    ack.egress.reserve(ack.egress.size() + arrivals_.size());
+    std::vector<std::size_t> next(groups_.size(), 0);
+    for (const auto& [seq, shard] : arrivals_) {
+      EgressRecord rec;
+      rec.seq = seq;
+      rec.bytes = tx_->deparse(groups_[shard].out[next[shard]++]);
+      ack.egress.push_back(std::move(rec));
+    }
+    arrivals_.clear();
+    for (ShardGroup& g : groups_) {
+      g.slots.clear();
+      g.in.clear();
+      g.out.clear();
+    }
+    payload = encode_ingest_ack(ack);
+    hold_unconfirmed(std::move(ack.egress));
     ++ingest_count_;
   }
   if (cfg_.stall_every != 0 && ingest_count_ % cfg_.stall_every == 0) {
@@ -365,7 +390,7 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
     // outside mu_ keeps kill()/stats() responsive.
     std::this_thread::sleep_for(cfg_.stall_for);
   }
-  reply(conn, MsgType::kIngestAck, encode_ingest_ack(ack));
+  reply(conn, MsgType::kIngestAck, payload);
 }
 
 void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
@@ -373,19 +398,23 @@ void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
   HeartbeatAck ack;
   ack.nonce = hb.nonce;
   std::lock_guard<std::mutex> lock(mu_);
-  settle_earlier(0);
-  ack.delivered = svc_->stats().delivered;
-  ack.egress = take_egress(out_egress_.size());
-  reply(conn, MsgType::kHeartbeatAck, encode_heartbeat_ack(ack));
+  // Every accepted frame ran to completion inside its own request.
+  ack.delivered = stats_.frames_accepted;
+  ack.egress = take_egress();
+  const auto payload = encode_heartbeat_ack(ack);
+  hold_unconfirmed(std::move(ack.egress));
+  reply(conn, MsgType::kHeartbeatAck, payload);
 }
 
 void WorkerServer::handle_flush(Conn& conn) {
+  // Nothing is in flight between requests: a flush only hands back egress
+  // queued for redelivery.
   FlushAck ack;
   std::lock_guard<std::mutex> lock(mu_);
-  svc_->flush();
-  harvest_egress();
-  ack.egress = take_egress(out_egress_.size());
-  reply(conn, MsgType::kFlushAck, encode_flush_ack(ack));
+  ack.egress = take_egress();
+  const auto payload = encode_flush_ack(ack);
+  hold_unconfirmed(std::move(ack.egress));
+  reply(conn, MsgType::kFlushAck, payload);
 }
 
 void WorkerServer::handle_snapshot(Conn& conn, const Message& req) {
@@ -393,38 +422,33 @@ void WorkerServer::handle_snapshot(Conn& conn, const Message& req) {
       decode_snapshot_req(req.payload.data(), req.payload.size());
   SnapshotResp resp;
   std::lock_guard<std::mutex> lock(mu_);
-  // Checkpoint barrier: settle everything accepted so far, so the snapshot
-  // plus the returned egress together account for every applied frame —
-  // applied_seq_[slot] is exact for the state in the blob.
-  svc_->flush();
-  harvest_egress();
-  svc_->stop();
-  const banzai::ServiceSnapshot snap = svc_->snapshot();
-  svc_->start();
+  // Checkpoint barrier for free: every accepted frame already ran to
+  // completion, so each slot's live state and applied_seq_ agree exactly.
   std::vector<std::uint32_t> slots = snap_req.slots;
   if (slots.empty())
-    for (std::uint32_t s = 0; s < snap.num_slots; ++s) slots.push_back(s);
+    for (std::uint32_t s = 0; s < cfg_.num_slots; ++s) slots.push_back(s);
+  resp.slots.reserve(slots.size());
   for (std::uint32_t s : slots) {
-    if (s >= snap.num_slots) {
+    if (s >= cfg_.num_slots) {
       reply_error(conn, "snapshot: slot out of range");
       return;
     }
     SlotState st;
     st.slot = s;
     st.applied_seq = applied_seq_[s];
-    st.state = serialize_state_store(snap.slot_state[s]);
+    st.state = serialize_state_store(core_->slot_machine(s).state());
     resp.slots.push_back(std::move(st));
   }
-  resp.egress = take_egress(out_egress_.size());
-  reply(conn, MsgType::kSnapshotResp, encode_snapshot_resp(resp));
+  resp.egress = take_egress();
+  const auto payload = encode_snapshot_resp(resp);
+  hold_unconfirmed(std::move(resp.egress));
+  reply(conn, MsgType::kSnapshotResp, payload);
 }
 
 void WorkerServer::handle_restore(Conn& conn, const Message& req) {
   const RestoreReq restore =
       decode_restore_req(req.payload.data(), req.payload.size());
   std::lock_guard<std::mutex> lock(mu_);
-  svc_->flush();
-  svc_->stop();
   // Validate the WHOLE payload before touching ANY slot: decode every blob
   // and shape-check it against the live store.  A corrupt migration payload
   // must reject cleanly with the worker's state untouched — this is the
@@ -432,8 +456,7 @@ void WorkerServer::handle_restore(Conn& conn, const Message& req) {
   std::vector<banzai::StateStore> stores;
   stores.reserve(restore.slots.size());
   for (const SlotState& s : restore.slots) {
-    if (s.slot >= svc_cfg_.num_slots) {
-      svc_->start();
+    if (s.slot >= cfg_.num_slots) {
       ++stats_.restore_rejects;
       reply_error(conn, "restore: slot out of range");
       return;
@@ -450,14 +473,12 @@ void WorkerServer::handle_restore(Conn& conn, const Message& req) {
       try {
         store = deserialize_state_store(s.state.data(), s.state.size());
       } catch (const FramingError& e) {
-        svc_->start();
         ++stats_.restore_rejects;
         reply_error(conn, std::string("restore: corrupt state blob: ") +
                               e.what());
         return;
       }
-      if (!store.same_shape(svc_->slot_machine(s.slot).snapshot_state())) {
-        svc_->start();
+      if (!store.same_shape(core_->slot_machine(s.slot).state())) {
         ++stats_.restore_rejects;
         reply_error(conn, "restore: state shape mismatch");
         return;
@@ -467,11 +488,10 @@ void WorkerServer::handle_restore(Conn& conn, const Message& req) {
   }
   for (std::size_t i = 0; i < restore.slots.size(); ++i) {
     const SlotState& s = restore.slots[i];
-    svc_->slot_machine(s.slot).restore_state(stores[i]);
+    core_->slot_machine(s.slot).restore_state(stores[i]);
     applied_seq_[s.slot] = s.applied_seq;
     ++stats_.restores;
   }
-  svc_->start();
   reply(conn, MsgType::kRestoreAck, {});
 }
 
@@ -483,19 +503,13 @@ void WorkerServer::handle_swap(Conn& conn, const Message& req) {
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  // Drain-and-cutover: settle all in-flight packets, checkpoint, rebuild the
-  // whole service on the new engine, restore the checkpoint, resume.  The
-  // same barrier a recompiled pipeline would use to hot-swap mid-stream.
-  svc_->flush();
-  harvest_egress();
-  svc_->stop();
-  const banzai::ServiceSnapshot snap = svc_->snapshot();
+  // Cutover between requests: snapshot every slot, rebuild the core on the
+  // new engine, restore.  The same move a recompiled pipeline would use to
+  // hot-swap mid-stream.
+  const std::vector<banzai::StateStore> snap = core_->snapshot_state();
   proto_.set_engine(static_cast<banzai::ExecEngine>(swap.engine));
-  auto next = std::make_unique<banzai::FleetService>(proto_, svc_cfg_);
-  next->set_wire(rx_, tx_);
-  next->restore(snap);
-  next->start();
-  svc_ = std::move(next);
+  core_ = make_core();
+  core_->restore_state(snap);
   ++stats_.engine_swaps;
   SwapAck ack;
   ack.active_engine = static_cast<std::uint8_t>(proto_.active_engine());

@@ -1,16 +1,27 @@
 // WorkerServer: one process (or in-process harness instance) of the
-// distributed fleet.  It owns a FleetService built from a compiled machine,
-// listens on a TCP port, and serves the front tier's RPC protocol
+// distributed fleet.  It owns a banzai::ShardCore built from a compiled
+// machine, listens on a TCP port, and serves the front tier's RPC protocol
 // (dist/framing.h): byte-frame ingest with per-slot sequence dedup, egress
 // return tagged with the front tier's global sequence numbers, snapshot /
 // restore of whole slots (the live-migration payload), engine hot-swap, and
 // heartbeats.
 //
+// Run to completion: each request executes entirely on the serve thread
+// before its reply is written.  An INGEST_BATCH is decoded, deduped, parsed,
+// grouped by shard, drained through the ShardCore, deparsed in arrival order
+// and acknowledged — and the ack carries the egress of its own accepted
+// frames.  With num_shards > 1 the shard groups drain in a fork-join: the
+// serve thread takes shard 0 while parked helper threads take one shard
+// each, and the serve thread waits for all of them before it deparses.  No
+// frame is ever in flight between requests, so snapshot, restore, flush and
+// engine swap are plain reads and writes of slot state: no barrier stops or
+// restarts a thread.
+//
 // Robustness contracts this side enforces:
 //   * At-least-once ingest, exactly-once apply: the front tier may re-send
 //     any frame (retry after a timeout, replay after a migration).  The
 //     worker tracks the highest applied sequence number per slot; a frame
-//     with seq <= applied_seq[slot] never touches the service.  Per-slot
+//     with seq <= applied_seq[slot] never touches slot state.  Per-slot
 //     frames arrive in sequence order, so the monotonic check is an exact
 //     dedup, not a heuristic.  An APPLIED frame at-or-below the watermark is
 //     acknowledged kDuplicate; a REJECTED one (which never advanced the
@@ -18,6 +29,10 @@
 //     deterministic on identical bytes, so re-parsing reconstructs the
 //     verdict exactly and the front's tombstone stays redeliverable even
 //     after a later frame in the slot moved the watermark past it.
+//   * The declared slot is checked: a frame whose FrameRecord::slot is not
+//     the slot its own flow key hashes to is rejected kRejectBadValue, so
+//     the watermark a frame moves and the state it mutates are always the
+//     same slot's.
 //   * Corrupt migration payloads reject cleanly: a RestoreReq is fully
 //     validated (framing decode, state-shape check against the live store,
 //     slot bounds) BEFORE any slot is touched; on any failure the worker
@@ -37,12 +52,13 @@
 //
 // kill() simulates a process crash for in-process chaos tests: the
 // connection drops (once the requests already sent are answered, as if the
-// crash came a moment later) and ALL service state is discarded (a SIGKILL'd
+// crash came a moment later) and ALL slot state is discarded (a SIGKILL'd
 // process loses its memory) — recovery must come from the front tier's
 // checkpoint + replay, which is exactly what the chaos suite verifies.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -51,12 +67,13 @@
 #include <thread>
 #include <vector>
 
+#include "banzai/fleet.h"
 #include "banzai/machine.h"
 #include "banzai/packet.h"
-#include "banzai/service.h"
 #include "banzai/state.h"
 #include "dist/framing.h"
 #include "dist/rpc.h"
+#include "wire/codec.h"
 
 namespace dist {
 
@@ -64,9 +81,10 @@ struct WorkerConfig {
   std::uint16_t port = 0;        // 0 = ephemeral (read back from port())
   std::string algorithm;         // corpus algorithm name (HELLO validation)
   std::size_t num_slots = 16;    // global slot table size (fleet-wide)
-  std::size_t num_shards = 2;    // worker-local threads
+  // Worker-local threads: the serve thread plus num_shards - 1 parked
+  // helpers, each draining one shard's frames of every ingest request.
+  std::size_t num_shards = 2;
   std::size_t batch_size = 64;
-  std::size_t ring_capacity = 1024;
   std::vector<std::string> flow_key;  // field names, resolved per machine
   // Deadline for any single send/recv on the serve connection.
   Millis io_timeout{2000};
@@ -93,7 +111,8 @@ class WorkerServer {
  public:
   // The machine prototype must carry the algorithm's compiled pipeline; rx
   // parses ingress frames, tx deparses egress (built with the compiler's
-  // output_map).  The service starts on the prototype's engine.
+  // output_map).  The slots start on the prototype's engine.  Spawns the
+  // num_shards - 1 helper threads, which stay parked between requests.
   WorkerServer(const banzai::Machine& prototype,
                std::shared_ptr<const wire::WireCodec> rx,
                std::shared_ptr<const wire::WireCodec> tx, WorkerConfig cfg);
@@ -105,11 +124,10 @@ class WorkerServer {
   // failure.
   void start();
 
-  // Graceful shutdown: unblocks the serve loop, flushes and stops the
-  // service, joins.  Idempotent.
+  // Graceful shutdown: unblocks the serve loop and joins it.  Idempotent.
   void stop();
 
-  // Crash simulation: drop connections and DISCARD all service state (fresh
+  // Crash simulation: drop connections and DISCARD all slot state (fresh
   // slots, zeroed dedup table), as a killed process would.  The listener
   // stays closed until restart().
   void kill();
@@ -135,16 +153,22 @@ class WorkerServer {
              const std::vector<std::uint8_t>& payload);
   void reply_error(Conn& conn, const std::string& what);
 
-  // Drains settled service egress and pairs it with the pending global seqs
-  // (FIFO: the service preserves ingest order).  Appends to out_egress_.
-  void harvest_egress();
-  // Harvests until only the newest `fresh` pending frames remain: every
-  // reply carries the egress of every frame accepted by an earlier request,
-  // so what an ack piggybacks depends on the request sequence alone, not on
-  // how fast the shards happened to run.
-  void settle_earlier(std::size_t fresh);
-  // Moves up to `limit` harvested egress records into a response.
-  std::vector<EgressRecord> take_egress(std::size_t limit);
+  // Moves every queued egress record (redelivery after a reconnect) into a
+  // response.
+  std::vector<EgressRecord> take_egress();
+  // Holds a reply's egress until a later request confirms it arrived.
+  void hold_unconfirmed(std::vector<EgressRecord>&& egress);
+
+  // The verdict on one frame's bytes for its declared slot: a typed parse
+  // reject, kRejectBadValue when the flow key hashes to another slot, else
+  // kAccepted.  Parses into pkt.
+  FrameStatus verdict(const FrameRecord& f, banzai::Packet& pkt) const;
+  // Drains groups_[shard] through core_ into its out packets.
+  void drain_group(std::size_t shard);
+  // Drains every shard group of the current request: shard 0 here, the
+  // others on the helpers, and returns once all are done.
+  void drain_groups();
+  void helper_loop(std::size_t shard);
 
   void handle_ingest(Conn& conn, const Message& req);
   void handle_snapshot(Conn& conn, const Message& req);
@@ -154,13 +178,15 @@ class WorkerServer {
   void handle_hello(Conn& conn, const Message& req);
   void handle_heartbeat(Conn& conn, const Message& req);
 
-  // Rebuilds the FleetService from the prototype (fresh state).
-  void rebuild_service();
+  // A fresh ShardCore on the prototype's current engine.
+  std::unique_ptr<banzai::ShardCore> make_core() const;
+  // Discards all slot state, the dedup table and queued egress.
+  void reset_state();
 
   banzai::Machine proto_;
   std::shared_ptr<const wire::WireCodec> rx_, tx_;
   WorkerConfig cfg_;
-  banzai::ServiceConfig svc_cfg_;
+  std::vector<banzai::FieldId> flow_key_;
   // The prototype's pristine state: the restore point an empty-blob
   // RestoreReq resets a slot to.  Captured once; engine swaps don't touch it.
   banzai::StateStore initial_state_;
@@ -169,10 +195,9 @@ class WorkerServer {
   // surface (kill/restart/stats) — coarse lock, zero contention in steady
   // state because control calls are rare.
   mutable std::mutex mu_;
-  std::unique_ptr<banzai::FleetService> svc_;
+  std::unique_ptr<banzai::ShardCore> core_;
   std::vector<std::uint64_t> applied_seq_;  // per slot, 0 = nothing applied
-  std::deque<std::uint64_t> pending_seq_;   // global seqs of accepted frames
-  std::deque<EgressRecord> out_egress_;     // harvested, not yet returned
+  std::deque<EgressRecord> out_egress_;     // queued for the next reply
   // Egress of the most recent replies, one entry per reply, oldest first.
   // The front keeps at most kMaxInflight requests outstanding, so request n
   // on the same connection proves replies up to n - kMaxInflight arrived
@@ -183,7 +208,26 @@ class WorkerServer {
   WorkerStats stats_;
   std::uint64_t conns_seen_ = 0;
   std::uint32_t ingest_count_ = 0;          // for the stall_every knob
-  banzai::Packet scratch_;                  // re-parse target for dedup acks
+
+  // One ingest request's accepted frames, grouped by shard (slot %
+  // num_shards).  Reused across requests.
+  struct ShardGroup {
+    std::vector<std::size_t> slots;
+    std::vector<banzai::Packet> in, out;
+  };
+  std::vector<ShardGroup> groups_;
+  // Arrival order of the accepted frames: global seq and shard.  A frame's
+  // position in its group is its rank among the same shard's entries.
+  std::vector<std::pair<std::uint64_t, std::size_t>> arrivals_;
+
+  // Fork-join with the helpers: drain_groups bumps round_ and waits for
+  // busy_ to reach zero; helper s drains groups_[s] once per round.
+  std::mutex fj_mu_;
+  std::condition_variable fj_start_, fj_done_;
+  std::uint64_t round_ = 0;
+  std::size_t busy_ = 0;
+  bool fj_exit_ = false;
+  std::vector<std::thread> helpers_;
 
   Listener listener_;
   Waker wake_;  // signalled by stop()/kill() to end an idle serve_connection
@@ -191,7 +235,6 @@ class WorkerServer {
   std::thread server_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> killed_{false};
 };
 
 }  // namespace dist

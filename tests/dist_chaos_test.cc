@@ -82,7 +82,6 @@ struct ChaosCluster {
       wc.num_slots = kSlots;
       wc.num_shards = 2;
       wc.batch_size = 32;
-      wc.ring_capacity = 256;
       wc.flow_key = {"sport", "dport"};
       wc.stall_every = k.stall_every;
       wc.stall_for = k.stall_for;

@@ -117,6 +117,20 @@ TEST(DistFramingTest, StateStoreSerializationIsCanonicalAndValidated) {
   t.var("alpha").store(0, 42);
   t.var("zeta").store(2, -7);
   EXPECT_EQ(blob, dist::serialize_state_store(t));
+  // The byte format itself is pinned: u32 var count, then per variable in
+  // name order u16 name length + name, u8 scalar flag, u32 cell count and
+  // the cells as u32 LE.
+  const std::vector<std::uint8_t> golden = {
+      0x02, 0x00, 0x00, 0x00,                          // 2 vars
+      0x05, 0x00, 'a',  'l',  'p',  'h',  'a',         // "alpha"
+      0x01, 0x01, 0x00, 0x00, 0x00,                    // scalar, 1 cell
+      0x2A, 0x00, 0x00, 0x00,                          // 42
+      0x04, 0x00, 'z',  'e',  't',  'a',               // "zeta"
+      0x00, 0x04, 0x00, 0x00, 0x00,                    // array, 4 cells
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 0, 0
+      0xF9, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00,  // -7, 0
+  };
+  EXPECT_EQ(blob, golden);
 
   const banzai::StateStore back =
       dist::deserialize_state_store(blob.data(), blob.size());
@@ -245,7 +259,8 @@ struct Cluster {
   std::vector<banzai::FieldId> flow_key;
 
   explicit Cluster(std::size_t n_workers, std::uint64_t seed = 1,
-                   std::uint32_t dup_every = 0, std::uint32_t stall_every = 0)
+                   std::uint32_t dup_every = 0, std::uint32_t stall_every = 0,
+                   std::size_t num_shards = 2)
       : compiled(domino::compile(algorithms::algorithm("flowlets").source,
                                  *atoms::find_target("banzai-praw"))) {
     const auto& alg = algorithms::algorithm("flowlets");
@@ -259,9 +274,8 @@ struct Cluster {
       WorkerConfig wc;
       wc.algorithm = "flowlets";
       wc.num_slots = kSlots;
-      wc.num_shards = 2;
+      wc.num_shards = num_shards;
       wc.batch_size = 32;
-      wc.ring_capacity = 256;
       wc.flow_key = {"sport", "dport"};
       wc.stall_every = stall_every;
       wc.stall_for = dist::Millis(stall_every ? 300 : 0);
@@ -329,8 +343,13 @@ struct Cluster {
 
 // ---- end-to-end contracts --------------------------------------------------
 
-TEST(DistClusterTest, SingleWorkerMatchesSequentialReference) {
-  Cluster c(1);
+// One worker at each worker-local thread count: 1 runs every request on the
+// serve thread alone, 2 and 3 fork-join the shard groups onto helpers.
+class DistSingleWorkerTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(DistSingleWorkerTest, MatchesSequentialReference) {
+  Cluster c(1, /*seed=*/1, /*dup_every=*/0, /*stall_every=*/0,
+            /*num_shards=*/GetParam());
   const auto frames = c.make_frames(600, 11);
   const auto expected = c.sequential_reference(frames);
   for (const auto& f : frames) c.front->offer(f);
@@ -341,6 +360,10 @@ TEST(DistClusterTest, SingleWorkerMatchesSequentialReference) {
     ASSERT_EQ(got[i], expected[i]) << "frame " << i;
   EXPECT_TRUE(c.front->settled());
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, DistSingleWorkerTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{3}));
 
 TEST(DistClusterTest, FourWorkersMatchSequentialReferenceWithRejects) {
   Cluster c(4);
@@ -618,6 +641,21 @@ struct RawWorker {
     return ack.statuses;
   }
 
+  // Egress of one sequential per-slot machine set fed `frames` in order.
+  std::vector<std::vector<std::uint8_t>> sequential_reference(
+      const std::vector<std::vector<std::uint8_t>>& frames) {
+    std::vector<banzai::Machine> slots;
+    for (std::size_t v = 0; v < kSlots; ++v)
+      slots.push_back(compiled.machine().clone());
+    Packet scratch(compiled.machine().fields().size());
+    std::vector<std::vector<std::uint8_t>> out;
+    for (const auto& f : frames) {
+      EXPECT_TRUE(rx->parse_exact(f.data(), f.size(), scratch).ok());
+      out.push_back(tx->deparse(slots[slot_of(f)].process(scratch)));
+    }
+    return out;
+  }
+
   std::vector<std::uint8_t> snapshot_blob(std::uint32_t slot) {
     dist::SnapshotReq req;
     req.slots.push_back(slot);
@@ -740,6 +778,84 @@ TEST(DistWorkerDedupTest, RetriedRejectKeepsItsStatusAfterWatermarkAdvance) {
   ASSERT_EQ(ack.statuses.size(), 2u);
   EXPECT_EQ(ack.statuses[0], reject);
   EXPECT_EQ(ack.statuses[1], dist::FrameStatus::kDuplicate);
+}
+
+// The front keys dedup on the slot a FrameRecord declares, while the state a
+// frame mutates is the slot its flow key hashes to.  A frame declaring the
+// wrong slot must be rejected, not applied: otherwise it moves one slot's
+// watermark while it mutates another slot's state.  Its retry must keep the
+// reject verdict even after the declared slot's watermark moved past it.
+TEST(DistWorkerDedupTest, FrameWithWrongDeclaredSlotIsRejected) {
+  RawWorker w;
+  const auto frames = w.make_frames(200, 151);
+  const auto& valid = frames.at(0);
+  const std::uint32_t right = w.slot_of(valid);
+  const std::uint32_t wrong = (right + 1) % kSlots;
+  const std::vector<std::uint8_t>* other = nullptr;  // hashes to `wrong`
+  for (const auto& f : frames)
+    if (w.slot_of(f) == wrong) {
+      other = &f;
+      break;
+    }
+  ASSERT_NE(other, nullptr);
+  const auto right_before = w.snapshot_blob(right);
+  const auto wrong_before = w.snapshot_blob(wrong);
+
+  auto send = [&](std::uint64_t seq, std::uint32_t slot,
+                  const std::vector<std::uint8_t>& bytes) {
+    dist::IngestBatch b;
+    dist::FrameRecord rec;
+    rec.seq = seq;
+    rec.slot = slot;
+    rec.bytes = bytes;
+    b.frames.push_back(std::move(rec));
+    const auto resp =
+        w.call(MsgType::kIngestBatch, dist::encode_ingest_batch(b));
+    EXPECT_EQ(resp.type, MsgType::kIngestAck);
+    return dist::decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  };
+
+  auto ack = send(1, wrong, valid);
+  ASSERT_EQ(ack.statuses.size(), 1u);
+  EXPECT_EQ(ack.statuses[0], dist::FrameStatus::kRejectBadValue);
+  EXPECT_TRUE(ack.egress.empty());
+  EXPECT_EQ(w.snapshot_blob(right), right_before);
+  EXPECT_EQ(w.snapshot_blob(wrong), wrong_before);
+
+  ack = send(2, wrong, *other);
+  ASSERT_EQ(ack.statuses.size(), 1u);
+  EXPECT_EQ(ack.statuses[0], dist::FrameStatus::kAccepted);
+  ack = send(1, wrong, valid);  // now below the slot's watermark
+  ASSERT_EQ(ack.statuses.size(), 1u);
+  EXPECT_EQ(ack.statuses[0], dist::FrameStatus::kRejectBadValue);
+}
+
+// Run to completion: an INGEST_BATCH is applied before its ack is written,
+// so the ack carries the egress of exactly its own accepted frames — every
+// one of them, in request order, byte-identical to a sequential reference.
+TEST(DistWorkerAckTest, IngestAckCarriesExactlyItsOwnFramesEgress) {
+  RawWorker w;
+  const auto frames = w.make_frames(96, 157);
+  const auto expected = w.sequential_reference(frames);
+  dist::IngestBatch b;
+  for (const auto& f : frames) {
+    dist::FrameRecord rec;
+    rec.seq = w.next_seq++;
+    rec.slot = w.slot_of(f);
+    rec.bytes = f;
+    b.frames.push_back(std::move(rec));
+  }
+  const auto resp = w.call(MsgType::kIngestBatch, dist::encode_ingest_batch(b));
+  ASSERT_EQ(resp.type, MsgType::kIngestAck);
+  const auto ack =
+      dist::decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  ASSERT_EQ(ack.statuses.size(), frames.size());
+  ASSERT_EQ(ack.egress.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(ack.statuses[i], dist::FrameStatus::kAccepted) << "frame " << i;
+    EXPECT_EQ(ack.egress[i].seq, b.frames[i].seq) << "frame " << i;
+    EXPECT_EQ(ack.egress[i].bytes, expected[i]) << "frame " << i;
+  }
 }
 
 // The pipelined ingest window's redelivery contract: with up to
