@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
       dist::WorkerConfig wc;
       wc.algorithm = "flowlets";
       wc.num_slots = kSlots;
-      wc.num_shards = 2;
       wc.batch_size = 64;
       wc.flow_key = {"sport", "dport"};
       workers.push_back(std::make_unique<dist::WorkerServer>(

@@ -12,9 +12,8 @@
 //       and exits 0 on success
 //
 // Options: --port N (default 0 = ephemeral, printed), --algorithm NAME
-// (default flowlets), --slots N (default 16, must match the fleet),
-// --shards N (default 2: worker-local threads — the serve thread plus N-1
-// helpers that each drain one shard of every ingest batch).
+// (default flowlets), --slots N (default 16, must match the fleet).  Every
+// request runs to completion on the serve thread.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,16 +24,17 @@
 #include "algorithms/corpus.h"
 #include "core/compiler.h"
 #include "dist/framing.h"
+#include "dist/front.h"
 #include "dist/rpc.h"
 #include "dist/worker.h"
-#include "sim/partition.h"
 #include "wire/codec.h"
 
 namespace {
 
 int smoke(dist::WorkerServer& worker,
           const std::shared_ptr<const wire::WireCodec>& rx,
-          const banzai::Machine& machine, std::size_t num_slots) {
+          const banzai::Machine& machine, std::size_t num_slots,
+          const std::vector<std::string>& flow_key_names) {
   using dist::MsgType;
   const auto deadline = dist::Clock::now() + dist::Millis(5000);
   dist::Conn conn = dist::connect_local(worker.port(), dist::Millis(5000));
@@ -52,14 +52,14 @@ int smoke(dist::WorkerServer& worker,
   // One small batch: a frame deparsed from an all-defaults packet, declared
   // on the slot its flow key hashes to (the worker rejects any other).
   banzai::Packet p(machine.fields().size());
-  std::uint64_t h = 0;
-  for (const char* key : {"sport", "dport"})
-    h = netsim::mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                              p.get(machine.fields().id_of(key)))));
+  std::vector<banzai::FieldId> flow_key;
+  for (const std::string& name : flow_key_names)
+    flow_key.push_back(machine.fields().id_of(name));
   dist::IngestBatch batch;
   dist::FrameRecord rec;
   rec.seq = 1;
-  rec.slot = static_cast<std::uint32_t>(h % num_slots);
+  rec.slot =
+      static_cast<std::uint32_t>(dist::slot_of_packet(p, flow_key, num_slots));
   rec.bytes = rx->deparse(p);
   batch.frames.push_back(std::move(rec));
   conn.send_msg(MsgType::kIngestBatch, dist::encode_ingest_batch(batch),
@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
   std::uint16_t port = 0;
   std::string algorithm = "flowlets";
   std::size_t num_slots = 16;
-  std::size_t num_shards = 2;
   bool smoke_mode = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -115,16 +114,10 @@ int main(int argc, char** argv) {
       algorithm = argv[++i];
     } else if (arg == "--slots" && i + 1 < argc) {
       num_slots = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      num_shards = static_cast<std::size_t>(std::atol(argv[++i]));
     } else {
       std::fprintf(stderr,
                    "usage: %s [--port N] [--algorithm NAME] [--slots N] "
-                   "[--shards N] [--smoke]\n"
-                   "  --shards N  worker-local threads (default 2): the "
-                   "serve thread plus\n"
-                   "              N-1 helpers, each draining one shard of "
-                   "every ingest batch\n",
+                   "[--smoke]\n",
                    argv[0]);
       return 2;
     }
@@ -143,20 +136,20 @@ int main(int argc, char** argv) {
   cfg.port = port;
   cfg.algorithm = algorithm;
   cfg.num_slots = num_slots;
-  cfg.num_shards = num_shards;
   cfg.flow_key = {"sport", "dport"};
   dist::WorkerServer worker(compiled.machine(), rx, tx, cfg);
 
   if (smoke_mode) {
     worker.start();
-    const int rc = smoke(worker, rx, compiled.machine(), num_slots);
+    const int rc =
+        smoke(worker, rx, compiled.machine(), num_slots, cfg.flow_key);
     worker.stop();
     return rc;
   }
 
   worker.start();
-  std::printf("dist_worker: algorithm=%s slots=%zu shards=%zu port=%u\n",
-              algorithm.c_str(), num_slots, num_shards, worker.port());
+  std::printf("dist_worker: algorithm=%s slots=%zu port=%u\n",
+              algorithm.c_str(), num_slots, worker.port());
   std::fflush(stdout);
   worker.stop();  // hand the listener back so serve_forever owns the thread
   worker.serve_forever();

@@ -8,6 +8,17 @@
 
 namespace dist {
 
+std::size_t slot_of_packet(const banzai::Packet& pkt,
+                           const std::vector<banzai::FieldId>& flow_key,
+                           std::size_t num_slots) {
+  if (num_slots <= 1) return 0;
+  std::uint64_t h = 0;
+  for (banzai::FieldId f : flow_key)
+    h = netsim::mix64(
+        h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(pkt.get(f))));
+  return static_cast<std::size_t>(h % num_slots);
+}
+
 // ---- EgressWindow ----------------------------------------------------------
 
 bool EgressWindow::put(std::uint64_t seq, Cell::State state,
@@ -89,12 +100,8 @@ std::size_t FrontTier::slot_of_frame(const std::uint8_t* data,
   // Malformed frames hash to slot 0: any worker will reject them with a
   // typed status, which tombstones their seq — they just need *a* route.
   const wire::ParseResult res = rx_->parse_exact(data, len, scratch_);
-  if (!res.ok() || cfg_.num_slots <= 1) return 0;
-  std::uint64_t h = 0;
-  for (banzai::FieldId f : cfg_.flow_key)
-    h = netsim::mix64(h ^ static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(scratch_.get(f))));
-  return static_cast<std::size_t>(h % cfg_.num_slots);
+  if (!res.ok()) return 0;
+  return slot_of_packet(scratch_, cfg_.flow_key, cfg_.num_slots);
 }
 
 void FrontTier::route(FrameRecord rec) {

@@ -65,6 +65,14 @@ class RestoreRejected : public RpcError {
   using RpcError::RpcError;
 };
 
+// The slot a parsed frame belongs to: chained SplitMix64 over its flow-key
+// fields, modulo num_slots (slot 0 when num_slots <= 1).  The same map as
+// banzai::ShardCore::slot_of, against which a worker checks every declared
+// FrameRecord::slot.
+std::size_t slot_of_packet(const banzai::Packet& pkt,
+                           const std::vector<banzai::FieldId>& flow_key,
+                           std::size_t num_slots);
+
 struct FrontConfig {
   std::string algorithm;          // sent in HELLO; workers cross-check
   std::size_t num_slots = 16;     // must match every worker

@@ -25,28 +25,16 @@ WorkerServer::WorkerServer(const banzai::Machine& prototype,
       tx_(std::move(tx)),
       cfg_(std::move(cfg)),
       initial_state_(proto_.snapshot_state()) {
-  if (cfg_.num_shards == 0) cfg_.num_shards = 1;
   for (const auto& name : cfg_.flow_key)
     flow_key_.push_back(proto_.fields().id_of(name));
   reset_state();
-  groups_.resize(cfg_.num_shards);
-  for (std::size_t s = 1; s < cfg_.num_shards; ++s)
-    helpers_.emplace_back([this, s] { helper_loop(s); });
 }
 
-WorkerServer::~WorkerServer() {
-  stop();
-  {
-    std::lock_guard<std::mutex> lock(fj_mu_);
-    fj_exit_ = true;
-  }
-  fj_start_.notify_all();
-  for (std::thread& h : helpers_) h.join();
-}
+WorkerServer::~WorkerServer() { stop(); }
 
 std::unique_ptr<banzai::ShardCore> WorkerServer::make_core() const {
   return std::make_unique<banzai::ShardCore>(proto_, cfg_.num_slots,
-                                             cfg_.num_shards, cfg_.batch_size,
+                                             /*num_shards=*/1, cfg_.batch_size,
                                              flow_key_);
 }
 
@@ -276,47 +264,6 @@ FrameStatus WorkerServer::verdict(const FrameRecord& f,
   return FrameStatus::kAccepted;
 }
 
-void WorkerServer::drain_group(std::size_t shard) {
-  ShardGroup& g = groups_[shard];
-  g.out.resize(g.in.size());
-  core_->drain(shard, g.slots.data(), g.in.data(), g.in.size(), g.out.data());
-}
-
-void WorkerServer::drain_groups() {
-  if (helpers_.empty()) {
-    drain_group(0);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(fj_mu_);
-    ++round_;
-    busy_ = helpers_.size();
-  }
-  fj_start_.notify_all();
-  drain_group(0);
-  std::unique_lock<std::mutex> lock(fj_mu_);
-  fj_done_.wait(lock, [this] { return busy_ == 0; });
-}
-
-void WorkerServer::helper_loop(std::size_t shard) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(fj_mu_);
-      fj_start_.wait(lock, [&] { return fj_exit_ || round_ != seen; });
-      if (fj_exit_) return;
-      seen = round_;
-    }
-    drain_group(shard);
-    bool last;
-    {
-      std::lock_guard<std::mutex> lock(fj_mu_);
-      last = --busy_ == 0;
-    }
-    if (last) fj_done_.notify_one();
-  }
-}
-
 void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
   const IngestBatch batch =
       decode_ingest_batch(req.payload.data(), req.payload.size());
@@ -330,10 +277,8 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
       ack.seqs.push_back(f.seq);
       FrameStatus st = FrameStatus::kRejectBadValue;
       if (f.slot < applied_seq_.size()) {
-        const std::size_t shard = f.slot % cfg_.num_shards;
-        ShardGroup& g = groups_[shard];
-        g.in.emplace_back(rx_->num_table_fields());
-        st = verdict(f, g.in.back());
+        batch_in_.emplace_back(rx_->num_table_fields());
+        st = verdict(f, batch_in_.back());
         // At or below the slot's watermark is a retry or a network
         // duplicate: the at-least-once channel meeting the exactly-once
         // state machine.  Only an APPLIED frame dedups to kDuplicate.  A
@@ -346,11 +291,11 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         if (st == FrameStatus::kAccepted && f.seq <= applied_seq_[f.slot])
           st = FrameStatus::kDuplicate;
         if (st == FrameStatus::kAccepted) {
-          g.slots.push_back(f.slot);
-          arrivals_.emplace_back(f.seq, shard);
+          batch_slots_.push_back(f.slot);
+          batch_seqs_.push_back(f.seq);
           applied_seq_[f.slot] = f.seq;
         } else {
-          g.in.pop_back();
+          batch_in_.pop_back();
         }
       }
       ack.statuses.push_back(st);
@@ -362,24 +307,24 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         ++stats_.frames_rejected;
     }
 
-    drain_groups();
+    const std::size_t n = batch_in_.size();
+    batch_out_.resize(n);
+    core_->drain(0, batch_slots_.data(), batch_in_.data(), n,
+                 batch_out_.data());
     // Redelivery owed from a lost connection goes first, then this
     // request's own egress in arrival order.
     ack.egress = take_egress();
-    ack.egress.reserve(ack.egress.size() + arrivals_.size());
-    std::vector<std::size_t> next(groups_.size(), 0);
-    for (const auto& [seq, shard] : arrivals_) {
+    ack.egress.reserve(ack.egress.size() + n);
+    for (std::size_t i = 0; i < n; ++i) {
       EgressRecord rec;
-      rec.seq = seq;
-      rec.bytes = tx_->deparse(groups_[shard].out[next[shard]++]);
+      rec.seq = batch_seqs_[i];
+      rec.bytes = tx_->deparse(batch_out_[i]);
       ack.egress.push_back(std::move(rec));
     }
-    arrivals_.clear();
-    for (ShardGroup& g : groups_) {
-      g.slots.clear();
-      g.in.clear();
-      g.out.clear();
-    }
+    batch_slots_.clear();
+    batch_in_.clear();
+    batch_out_.clear();
+    batch_seqs_.clear();
     payload = encode_ingest_ack(ack);
     hold_unconfirmed(std::move(ack.egress));
     ++ingest_count_;

@@ -8,14 +8,12 @@
 //
 // Run to completion: each request executes entirely on the serve thread
 // before its reply is written.  An INGEST_BATCH is decoded, deduped, parsed,
-// grouped by shard, drained through the ShardCore, deparsed in arrival order
-// and acknowledged — and the ack carries the egress of its own accepted
-// frames.  With num_shards > 1 the shard groups drain in a fork-join: the
-// serve thread takes shard 0 while parked helper threads take one shard
-// each, and the serve thread waits for all of them before it deparses.  No
-// frame is ever in flight between requests, so snapshot, restore, flush and
-// engine swap are plain reads and writes of slot state: no barrier stops or
-// restarts a thread.
+// drained through the ShardCore, deparsed and acknowledged — and the ack
+// carries the egress of its own accepted frames.  The core has one shard, so
+// the accepted frames drain in a single call, in arrival order, and egress i
+// is frame i's.  No frame is ever in flight between requests, so snapshot,
+// restore, flush and engine swap are plain reads and writes of slot state:
+// no barrier stops or restarts a thread.
 //
 // Robustness contracts this side enforces:
 //   * At-least-once ingest, exactly-once apply: the front tier may re-send
@@ -58,7 +56,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -81,8 +78,10 @@ struct WorkerConfig {
   std::uint16_t port = 0;        // 0 = ephemeral (read back from port())
   std::string algorithm;         // corpus algorithm name (HELLO validation)
   std::size_t num_slots = 16;    // global slot table size (fleet-wide)
-  // Worker-local threads: the serve thread plus num_shards - 1 parked
-  // helpers, each draining one shard's frames of every ingest request.
+  // Unused: every request drains on the serve thread alone.  Splitting a
+  // request's frames over helper threads measured no faster (EXPERIMENTS.md,
+  // "Distributed — run-to-completion worker").  Kept so existing callers
+  // still build.
   std::size_t num_shards = 2;
   std::size_t batch_size = 64;
   std::vector<std::string> flow_key;  // field names, resolved per machine
@@ -111,8 +110,7 @@ class WorkerServer {
  public:
   // The machine prototype must carry the algorithm's compiled pipeline; rx
   // parses ingress frames, tx deparses egress (built with the compiler's
-  // output_map).  The slots start on the prototype's engine.  Spawns the
-  // num_shards - 1 helper threads, which stay parked between requests.
+  // output_map).  The slots start on the prototype's engine.
   WorkerServer(const banzai::Machine& prototype,
                std::shared_ptr<const wire::WireCodec> rx,
                std::shared_ptr<const wire::WireCodec> tx, WorkerConfig cfg);
@@ -163,12 +161,6 @@ class WorkerServer {
   // reject, kRejectBadValue when the flow key hashes to another slot, else
   // kAccepted.  Parses into pkt.
   FrameStatus verdict(const FrameRecord& f, banzai::Packet& pkt) const;
-  // Drains groups_[shard] through core_ into its out packets.
-  void drain_group(std::size_t shard);
-  // Drains every shard group of the current request: shard 0 here, the
-  // others on the helpers, and returns once all are done.
-  void drain_groups();
-  void helper_loop(std::size_t shard);
 
   void handle_ingest(Conn& conn, const Message& req);
   void handle_snapshot(Conn& conn, const Message& req);
@@ -209,25 +201,11 @@ class WorkerServer {
   std::uint64_t conns_seen_ = 0;
   std::uint32_t ingest_count_ = 0;          // for the stall_every knob
 
-  // One ingest request's accepted frames, grouped by shard (slot %
-  // num_shards).  Reused across requests.
-  struct ShardGroup {
-    std::vector<std::size_t> slots;
-    std::vector<banzai::Packet> in, out;
-  };
-  std::vector<ShardGroup> groups_;
-  // Arrival order of the accepted frames: global seq and shard.  A frame's
-  // position in its group is its rank among the same shard's entries.
-  std::vector<std::pair<std::uint64_t, std::size_t>> arrivals_;
-
-  // Fork-join with the helpers: drain_groups bumps round_ and waits for
-  // busy_ to reach zero; helper s drains groups_[s] once per round.
-  std::mutex fj_mu_;
-  std::condition_variable fj_start_, fj_done_;
-  std::uint64_t round_ = 0;
-  std::size_t busy_ = 0;
-  bool fj_exit_ = false;
-  std::vector<std::thread> helpers_;
+  // One ingest request's accepted frames in arrival order: their slots,
+  // parsed and processed packets, and global seqs.  Reused across requests.
+  std::vector<std::size_t> batch_slots_;
+  std::vector<banzai::Packet> batch_in_, batch_out_;
+  std::vector<std::uint64_t> batch_seqs_;
 
   Listener listener_;
   Waker wake_;  // signalled by stop()/kill() to end an idle serve_connection

@@ -259,8 +259,7 @@ struct Cluster {
   std::vector<banzai::FieldId> flow_key;
 
   explicit Cluster(std::size_t n_workers, std::uint64_t seed = 1,
-                   std::uint32_t dup_every = 0, std::uint32_t stall_every = 0,
-                   std::size_t num_shards = 2)
+                   std::uint32_t dup_every = 0, std::uint32_t stall_every = 0)
       : compiled(domino::compile(algorithms::algorithm("flowlets").source,
                                  *atoms::find_target("banzai-praw"))) {
     const auto& alg = algorithms::algorithm("flowlets");
@@ -274,7 +273,7 @@ struct Cluster {
       WorkerConfig wc;
       wc.algorithm = "flowlets";
       wc.num_slots = kSlots;
-      wc.num_shards = num_shards;
+      wc.num_shards = 2;
       wc.batch_size = 32;
       wc.flow_key = {"sport", "dport"};
       wc.stall_every = stall_every;
@@ -343,13 +342,8 @@ struct Cluster {
 
 // ---- end-to-end contracts --------------------------------------------------
 
-// One worker at each worker-local thread count: 1 runs every request on the
-// serve thread alone, 2 and 3 fork-join the shard groups onto helpers.
-class DistSingleWorkerTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(DistSingleWorkerTest, MatchesSequentialReference) {
-  Cluster c(1, /*seed=*/1, /*dup_every=*/0, /*stall_every=*/0,
-            /*num_shards=*/GetParam());
+TEST(DistClusterTest, SingleWorkerMatchesSequentialReference) {
+  Cluster c(1);
   const auto frames = c.make_frames(600, 11);
   const auto expected = c.sequential_reference(frames);
   for (const auto& f : frames) c.front->offer(f);
@@ -360,10 +354,6 @@ TEST_P(DistSingleWorkerTest, MatchesSequentialReference) {
     ASSERT_EQ(got[i], expected[i]) << "frame " << i;
   EXPECT_TRUE(c.front->settled());
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, DistSingleWorkerTest,
-                         ::testing::Values(std::size_t{1}, std::size_t{2},
-                                           std::size_t{3}));
 
 TEST(DistClusterTest, FourWorkersMatchSequentialReferenceWithRejects) {
   Cluster c(4);
