@@ -1,6 +1,7 @@
 #include "dist/framing.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace dist {
 
@@ -58,16 +59,14 @@ std::uint16_t Reader::u16() {
 
 std::uint32_t Reader::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p_[i]) << (8 * i);
+  const std::uint32_t v = load_u32(p_);
   p_ += 4;
   return v;
 }
 
 std::uint64_t Reader::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p_[i]) << (8 * i);
+  const std::uint64_t v = load_u64(p_);
   p_ += 8;
   return v;
 }
@@ -87,6 +86,12 @@ std::vector<std::uint8_t> Reader::blob() {
   std::vector<std::uint8_t> b(p_, p_ + n);
   p_ += n;
   return b;
+}
+
+void Reader::skip_blob() {
+  const std::size_t n = u32();
+  if (n > kMaxMessageBytes) throw FramingError("blob length exceeds bound");
+  take(n);
 }
 
 const std::uint8_t* Reader::take(std::size_t n) {
@@ -110,17 +115,23 @@ void write_egress(Writer& w, const std::vector<EgressRecord>& egress) {
   }
 }
 
-std::vector<EgressRecord> read_egress(Reader& r) {
+// The egress section's one parser: validates it, then views it in place.
+EgressView read_egress_view(Reader& r) {
   const std::uint32_t n = r.u32();
   if (n > kMaxMessageBytes / 8) throw FramingError("egress count exceeds bound");
-  std::vector<EgressRecord> out;
-  out.reserve(n);
+  const std::uint8_t* first = r.pos();
   for (std::uint32_t i = 0; i < n; ++i) {
-    EgressRecord e;
-    e.seq = r.u64();
-    e.bytes = r.blob();
-    out.push_back(std::move(e));
+    r.u64();
+    r.skip_blob();
   }
+  return EgressView(first, n);
+}
+
+std::vector<EgressRecord> egress_records(const EgressView& view) {
+  std::vector<EgressRecord> out;
+  out.reserve(view.size());
+  for (const EgressRef& e : view)
+    out.push_back(EgressRecord{e.seq, {e.data, e.data + e.len}});
   return out;
 }
 
@@ -156,6 +167,78 @@ std::vector<SlotState> read_slot_states(Reader& r) {
 }
 
 }  // namespace
+
+std::vector<EgressRecord> read_egress(Reader& r) {
+  return egress_records(read_egress_view(r));
+}
+
+IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n) {
+  Reader r(p, n);
+  const std::uint32_t count = r.u32();
+  if (count > kMaxMessageBytes / 8)
+    throw FramingError("frame count exceeds bound");
+  const std::uint8_t* first = r.pos();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    r.u64();
+    r.u32();
+    r.skip_blob();
+  }
+  r.expect_end();
+  return IngestBatchView(first, count);
+}
+
+IngestAckView view_ingest_ack(const std::uint8_t* p, std::size_t n) {
+  Reader r(p, n);
+  IngestAckView v;
+  const std::uint32_t count = r.u32();
+  if (count > kMaxMessageBytes / 8)
+    throw FramingError("ack count exceeds bound");
+  const std::uint8_t* statuses = r.take(9 * static_cast<std::size_t>(count));
+  for (std::uint32_t i = 0; i < count; ++i)
+    if (statuses[9 * i + 8] >
+        static_cast<std::uint8_t>(FrameStatus::kRejectBadValue))
+      throw FramingError("unknown frame status");
+  v.statuses = RecordRange<StatusRef>(statuses, count);
+  v.egress = read_egress_view(r);
+  r.expect_end();
+  return v;
+}
+
+IngestAckWriter::IngestAckWriter(std::vector<std::uint8_t>& out,
+                                 std::size_t frames, std::size_t egress,
+                                 std::size_t egress_bytes)
+    : egress_at_(4 + 9 * frames), egress_left_(egress) {
+  const std::size_t size =
+      egress_at_ + egress_section_bytes(egress, egress_bytes);
+  if (size > kMaxMessageBytes) throw FramingError("ingest ack exceeds bound");
+  out.resize(size);
+  std::uint8_t* base = out.data();
+  store_u32(base, static_cast<std::uint32_t>(frames));
+  store_u32(base + egress_at_, static_cast<std::uint32_t>(egress));
+  status_ = base + 4;
+  status_end_ = base + egress_at_;
+  egress_ = status_end_ + 4;
+  end_ = base + size;
+}
+
+void IngestAckWriter::status(std::uint64_t seq, FrameStatus s) {
+  if (status_ == status_end_) throw FramingError("ingest ack: extra status");
+  store_u64(status_, seq);
+  status_[8] = static_cast<std::uint8_t>(s);
+  status_ += 9;
+}
+
+std::uint8_t* IngestAckWriter::egress(std::uint64_t seq, std::size_t len) {
+  if (egress_left_ == 0 ||
+      static_cast<std::size_t>(end_ - egress_) < 12 + len)
+    throw FramingError("ingest ack: egress beyond its sized section");
+  --egress_left_;
+  store_u64(egress_, seq);
+  store_u32(egress_ + 8, static_cast<std::uint32_t>(len));
+  std::uint8_t* bytes = egress_ + 12;
+  egress_ = bytes + len;
+  return bytes;
+}
 
 std::vector<std::uint8_t> encode_hello(const Hello& m) {
   std::vector<std::uint8_t> out;
@@ -200,54 +283,40 @@ std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m) {
 }
 
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n) {
-  Reader r(p, n);
+  const IngestBatchView view = view_ingest_batch(p, n);
   IngestBatch m;
-  const std::uint32_t count = r.u32();
-  if (count > kMaxMessageBytes / 8)
-    throw FramingError("frame count exceeds bound");
-  m.frames.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    FrameRecord f;
-    f.seq = r.u64();
-    f.slot = r.u32();
-    f.bytes = r.blob();
-    m.frames.push_back(std::move(f));
-  }
-  r.expect_end();
+  m.frames.reserve(view.size());
+  for (const FrameRef& f : view)
+    m.frames.push_back(FrameRecord{f.seq, f.slot, {f.data, f.data + f.len}});
   return m;
 }
 
 std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m) {
   if (m.seqs.size() != m.statuses.size())
     throw FramingError("ingest ack: seqs/statuses size mismatch");
+  std::size_t egress_bytes = 0;
+  for (const EgressRecord& e : m.egress) egress_bytes += e.bytes.size();
   std::vector<std::uint8_t> out;
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(m.seqs.size()));
-  for (std::size_t i = 0; i < m.seqs.size(); ++i) {
-    w.u64(m.seqs[i]);
-    w.u8(static_cast<std::uint8_t>(m.statuses[i]));
+  IngestAckWriter w(out, m.seqs.size(), m.egress.size(), egress_bytes);
+  for (std::size_t i = 0; i < m.seqs.size(); ++i)
+    w.status(m.seqs[i], m.statuses[i]);
+  for (const EgressRecord& e : m.egress) {
+    std::uint8_t* dst = w.egress(e.seq, e.bytes.size());
+    if (!e.bytes.empty()) std::memcpy(dst, e.bytes.data(), e.bytes.size());
   }
-  write_egress(w, m.egress);
   return out;
 }
 
 IngestAck decode_ingest_ack(const std::uint8_t* p, std::size_t n) {
-  Reader r(p, n);
+  const IngestAckView view = view_ingest_ack(p, n);
   IngestAck m;
-  const std::uint32_t count = r.u32();
-  if (count > kMaxMessageBytes / 8)
-    throw FramingError("ack count exceeds bound");
-  m.seqs.reserve(count);
-  m.statuses.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    m.seqs.push_back(r.u64());
-    const std::uint8_t s = r.u8();
-    if (s > static_cast<std::uint8_t>(FrameStatus::kRejectBadValue))
-      throw FramingError("unknown frame status");
-    m.statuses.push_back(static_cast<FrameStatus>(s));
+  m.seqs.reserve(view.statuses.size());
+  m.statuses.reserve(view.statuses.size());
+  for (const StatusRef& s : view.statuses) {
+    m.seqs.push_back(s.seq);
+    m.statuses.push_back(s.status);
   }
-  m.egress = read_egress(r);
-  r.expect_end();
+  m.egress = egress_records(view.egress);
   return m;
 }
 

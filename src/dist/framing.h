@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,6 +77,24 @@ class FramingError : public std::runtime_error {
 
 // ---- little-endian primitives ----------------------------------------------
 
+// Unchecked little-endian stores and loads; the callers bounds-check first.
+inline void store_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline void store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
 // Append-only writer over a byte vector.
 class Writer {
  public:
@@ -86,21 +105,21 @@ class Writer {
     out_.push_back(static_cast<std::uint8_t>(v));
     out_.push_back(static_cast<std::uint8_t>(v >> 8));
   }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { store_u32(grow(4), v); }
+  void u64(std::uint64_t v) { store_u64(grow(8), v); }
   void bytes(const std::uint8_t* p, std::size_t n) {
-    out_.insert(out_.end(), p, p + n);
+    if (n != 0) std::memcpy(grow(n), p, n);
   }
   void str(const std::string& s);    // u16 length + bytes
   void blob(const std::vector<std::uint8_t>& b);  // u32 length + bytes
 
  private:
+  // Appends n bytes and returns where they start.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
   std::vector<std::uint8_t>& out_;
 };
 
@@ -115,9 +134,12 @@ class Reader {
   std::uint64_t u64();
   std::string str();
   std::vector<std::uint8_t> blob();
+  // Checks and skips what blob() would read, without copying it.
+  void skip_blob();
   // Bounds-checks n bytes once and returns them for the caller to decode.
   const std::uint8_t* take(std::size_t n);
 
+  const std::uint8_t* pos() const { return p_; }
   std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   // Decoders call this last: trailing bytes mean a version mismatch or
   // corruption, both of which must be loud.
@@ -218,6 +240,146 @@ struct FlushAck {
 
 struct ErrorMsg {
   std::string message;
+};
+
+// ---- in-place views of the ingest exchange ----------------------------------
+//
+// INGEST_BATCH and its ack carry every frame, so their hot path neither
+// copies frames into owned records nor builds ack vectors.  view_* validates
+// a WHOLE payload up front — throwing FramingError before the caller touches
+// any state — and returns ranges that then walk it unchecked, yielding
+// pointers into it (the payload must outlive the view).  IngestAckWriter is
+// the ack's one writer.  decode_ingest_batch, decode_ingest_ack and
+// encode_ingest_ack are owning adapters over these, so each message keeps a
+// single parser and a single writer.
+
+struct FrameRef {  // one INGEST_BATCH record: u64 seq, u32 slot, blob
+  std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
+  const std::uint8_t* data = nullptr;
+  std::size_t len = 0;
+  static FrameRef read(const std::uint8_t*& p) {
+    FrameRef f;
+    f.seq = load_u64(p);
+    f.slot = load_u32(p + 8);
+    f.len = load_u32(p + 12);
+    f.data = p + 16;
+    p += 16 + f.len;
+    return f;
+  }
+};
+
+struct StatusRef {  // one ack status: u64 seq, u8 FrameStatus
+  std::uint64_t seq = 0;
+  FrameStatus status = FrameStatus::kAccepted;
+  static StatusRef read(const std::uint8_t*& p) {
+    StatusRef s;
+    s.seq = load_u64(p);
+    s.status = static_cast<FrameStatus>(p[8]);
+    p += 9;
+    return s;
+  }
+};
+
+struct EgressRef {  // one egress record: u64 seq, blob
+  std::uint64_t seq = 0;
+  const std::uint8_t* data = nullptr;
+  std::size_t len = 0;
+  static EgressRef read(const std::uint8_t*& p) {
+    EgressRef e;
+    e.seq = load_u64(p);
+    e.len = load_u32(p + 8);
+    e.data = p + 12;
+    p += 12 + e.len;
+    return e;
+  }
+};
+
+// A forward range over `count` already-validated records of type Rec.
+template <typename Rec>
+class RecordRange {
+ public:
+  class iterator {
+   public:
+    iterator(const std::uint8_t* p, std::size_t left) : p_(p), left_(left) {
+      load();
+    }
+    const Rec& operator*() const { return rec_; }
+    iterator& operator++() {
+      --left_;
+      load();
+      return *this;
+    }
+    bool operator!=(const iterator& o) const { return left_ != o.left_; }
+
+   private:
+    void load() {
+      if (left_ != 0) rec_ = Rec::read(p_);
+    }
+    const std::uint8_t* p_;
+    std::size_t left_;
+    Rec rec_;
+  };
+
+  RecordRange() = default;
+  RecordRange(const std::uint8_t* first, std::size_t count)
+      : first_(first), count_(count) {}
+  iterator begin() const { return {first_, count_}; }
+  iterator end() const { return {nullptr, 0}; }
+  std::size_t size() const { return count_; }
+
+ private:
+  const std::uint8_t* first_ = nullptr;
+  std::size_t count_ = 0;
+};
+
+using IngestBatchView = RecordRange<FrameRef>;
+using EgressView = RecordRange<EgressRef>;
+
+struct IngestAckView {
+  RecordRange<StatusRef> statuses;
+  EgressView egress;
+};
+
+IngestBatchView view_ingest_batch(const std::uint8_t* p, std::size_t n);
+IngestAckView view_ingest_ack(const std::uint8_t* p, std::size_t n);
+// Decodes the egress section (u32 count + records) that ends every
+// egress-carrying reply from `r` into owned records.
+std::vector<EgressRecord> read_egress(Reader& r);
+
+// Bytes one egress section of `count` records carrying `frame_bytes` frame
+// bytes in all occupies.
+constexpr std::size_t egress_section_bytes(std::size_t count,
+                                           std::size_t frame_bytes) {
+  return 4 + 12 * count + frame_bytes;
+}
+
+// Writes an INGEST_ACK payload straight into `out`: the constructor sizes it
+// once for `frames` statuses and `egress` egress records of `egress_bytes`
+// frame bytes in all, then status() and egress() fill the two sections (each
+// in its own order; the sections are independent).  Writing past the counts
+// given throws FramingError instead of running off the buffer.  The payload
+// replaces out's contents, and `out` must not be resized while in use.
+class IngestAckWriter {
+ public:
+  IngestAckWriter(std::vector<std::uint8_t>& out, std::size_t frames,
+                  std::size_t egress, std::size_t egress_bytes);
+
+  void status(std::uint64_t seq, FrameStatus s);
+  // Writes one record's (seq, len) header and returns where its len frame
+  // bytes go.
+  std::uint8_t* egress(std::uint64_t seq, std::size_t len);
+
+  // Offset of the egress section in the payload.
+  std::size_t egress_offset() const { return egress_at_; }
+
+ private:
+  std::size_t egress_at_;
+  std::uint8_t* status_;      // next status
+  std::uint8_t* status_end_;  // = the egress section
+  std::uint8_t* egress_;      // next egress record
+  std::uint8_t* end_;
+  std::size_t egress_left_;
 };
 
 // ---- encoders / decoders ---------------------------------------------------

@@ -21,22 +21,18 @@ std::size_t slot_of_packet(const banzai::Packet& pkt,
 
 // ---- EgressWindow ----------------------------------------------------------
 
-bool EgressWindow::put(std::uint64_t seq, Cell::State state,
-                       std::vector<std::uint8_t>&& bytes) {
+EgressWindow::Cell* EgressWindow::claim(std::uint64_t seq) {
   if (seq < next_) {
     ++duplicates_;
-    return false;
+    return nullptr;
   }
   const std::size_t idx = static_cast<std::size_t>(seq - next_);
   if (idx >= window_.size()) window_.resize(idx + 1);
   if (window_[idx].state != Cell::kPending) {
     ++duplicates_;
-    return false;
+    return nullptr;
   }
-  window_[idx].state = state;
-  window_[idx].bytes = std::move(bytes);
-  advance();
-  return true;
+  return &window_[idx];
 }
 
 void EgressWindow::advance() {
@@ -48,13 +44,22 @@ void EgressWindow::advance() {
   }
 }
 
-bool EgressWindow::deliver(std::uint64_t seq, std::vector<std::uint8_t> bytes) {
-  return put(seq, Cell::kFilled, std::move(bytes));
+bool EgressWindow::deliver(std::uint64_t seq, const std::uint8_t* data,
+                           std::size_t len) {
+  Cell* cell = claim(seq);
+  if (cell == nullptr) return false;
+  cell->state = Cell::kFilled;
+  cell->bytes.assign(data, data + len);
+  advance();
+  return true;
 }
 
 bool EgressWindow::tombstone(std::uint64_t seq) {
-  std::vector<std::uint8_t> none;
-  return put(seq, Cell::kTombstone, std::move(none));
+  Cell* cell = claim(seq);
+  if (cell == nullptr) return false;
+  cell->state = Cell::kTombstone;
+  advance();
+  return true;
 }
 
 std::vector<std::vector<std::uint8_t>> EgressWindow::drain() {
@@ -203,31 +208,26 @@ void FrontTier::deliver_tombstone(std::uint64_t seq) {
   if (window_.tombstone(seq)) ++stats_.rejects;
 }
 
-void FrontTier::process_ack_frames(const std::vector<std::uint64_t>& seqs,
-                                   const std::vector<FrameStatus>& statuses) {
-  const std::size_t n = std::min(seqs.size(), statuses.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (statuses[i]) {
-      case FrameStatus::kAccepted:
-        ++stats_.frames_acked;
-        break;
-      case FrameStatus::kDuplicate:
-        ++stats_.dup_acks;
-        break;
-      default:
-        // A typed parse reject: the frame produced no output and never
-        // will, so its seq becomes a tombstone and the window moves on.
-        deliver_tombstone(seqs[i]);
-        break;
-    }
+void FrontTier::process_status(std::uint64_t seq, FrameStatus status) {
+  switch (status) {
+    case FrameStatus::kAccepted:
+      ++stats_.frames_acked;
+      break;
+    case FrameStatus::kDuplicate:
+      ++stats_.dup_acks;
+      break;
+    default:
+      // A typed parse reject: the frame produced no output and never will,
+      // so its seq becomes a tombstone and the window moves on.
+      deliver_tombstone(seq);
+      break;
   }
 }
 
-void FrontTier::process_egress(std::vector<EgressRecord>&& egress) {
-  for (EgressRecord& rec : egress) {
-    if (!valid_egress_seq(rec.seq)) continue;
-    window_.deliver(rec.seq, std::move(rec.bytes));
-  }
+void FrontTier::process_egress(const std::vector<EgressRecord>& egress) {
+  for (const EgressRecord& rec : egress)
+    if (valid_egress_seq(rec.seq))
+      window_.deliver(rec.seq, rec.bytes.data(), rec.bytes.size());
 }
 
 void FrontTier::send_batch(WorkerLink& w) {
@@ -249,13 +249,17 @@ void FrontTier::settle_one(WorkerLink& w) {
   if (w.inflight.empty()) throw FramingError("reply without a request");
   if (resp.type != MsgType::kIngestAck)
     throw FramingError("unexpected reply to ingest");
-  IngestAck ack = decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  // Validates the whole ack before anything is applied; the statuses and
+  // egress are then read straight from the payload.
+  const IngestAckView ack =
+      view_ingest_ack(resp.payload.data(), resp.payload.size());
   Inflight batch = std::move(w.inflight.front());
   w.inflight.pop_front();
   w.detector.on_success(Clock::now());
   stats_.frames_sent += batch.frames;
-  process_ack_frames(ack.seqs, ack.statuses);
-  process_egress(std::move(ack.egress));
+  for (const StatusRef& s : ack.statuses) process_status(s.seq, s.status);
+  for (const EgressRef& e : ack.egress)
+    if (valid_egress_seq(e.seq)) window_.deliver(e.seq, e.data, e.len);
   if (batch.dup) return;
   for (std::size_t i = 0; i < batch.frames; ++i) w.outbox.pop_front();
   w.unacked -= batch.frames;
@@ -354,7 +358,7 @@ void FrontTier::flush() {
           FlushAck ack =
               decode_flush_ack(resp.payload.data(), resp.payload.size());
           w.detector.on_success(Clock::now());
-          process_egress(std::move(ack.egress));
+          process_egress(ack.egress);
         } catch (const RpcTimeout&) {
           on_rpc_failure(w, true);
         } catch (const RpcError&) {
@@ -391,7 +395,7 @@ void FrontTier::checkpoint() {
       SnapshotResp sr =
           decode_snapshot_resp(resp.payload.data(), resp.payload.size());
       w.detector.on_success(Clock::now());
-      process_egress(std::move(sr.egress));
+      process_egress(sr.egress);
       for (SlotState& ss : sr.slots) {
         if (ss.slot >= resend_.size()) continue;
         // Everything up to applied_seq is baked into the blob: the resend
@@ -430,7 +434,7 @@ void FrontTier::heartbeat() {
           decode_heartbeat_ack(resp.payload.data(), resp.payload.size());
       if (ack.nonce != hb.nonce) throw FramingError("heartbeat nonce mismatch");
       w.detector.on_success(Clock::now());
-      process_egress(std::move(ack.egress));
+      process_egress(ack.egress);
       ++stats_.heartbeats;
     } catch (const RpcTimeout&) {
       on_rpc_failure(w, true);
@@ -595,7 +599,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
         SnapshotResp sr =
             decode_snapshot_resp(resp.payload.data(), resp.payload.size());
         src.detector.on_success(Clock::now());
-        process_egress(std::move(sr.egress));
+        process_egress(sr.egress);
         for (SlotState& ss : sr.slots) {
           if (ss.slot != slot) continue;
           auto& buf = resend_[slot];

@@ -136,8 +136,9 @@ struct WorkerView {
 // stalls on a frame that produced no output.
 class EgressWindow {
  public:
-  // True when the record was fresh, false when deduped.
-  bool deliver(std::uint64_t seq, std::vector<std::uint8_t> bytes);
+  // True when the record was fresh (its bytes are copied in), false when
+  // deduped.
+  bool deliver(std::uint64_t seq, const std::uint8_t* data, std::size_t len);
   bool tombstone(std::uint64_t seq);
 
   std::vector<std::vector<std::uint8_t>> drain();
@@ -153,8 +154,9 @@ class EgressWindow {
     State state = kPending;
     std::vector<std::uint8_t> bytes;
   };
-  bool put(std::uint64_t seq, Cell::State state,
-           std::vector<std::uint8_t>&& bytes);
+  // The pending cell for seq, or nullptr (counted) when seq already
+  // settled.
+  Cell* claim(std::uint64_t seq);
   void advance();
 
   std::deque<Cell> window_;  // window_[i] holds seq next_ + i
@@ -266,15 +268,15 @@ class FrontTier {
   // INGEST_BATCH without waiting for the ack.
   void send_batch(WorkerLink& w);
   // Receives the oldest outstanding ack, waiting up to rpc_timeout, and
-  // settles it: statuses, egress, outbox pop.  Throws like call().
+  // settles it in place: statuses, egress, outbox pop.  Throws like call(),
+  // and a malformed ack throws before any of it is applied.
   void settle_one(WorkerLink& w);
   // Settles the acks that already arrived, without blocking; returns true if
   // it settled any.  Also surfaces a peer that hung up.
   bool settle_ready(WorkerLink& w);
-  void process_ack_frames(const std::vector<std::uint64_t>& seqs,
-                          const std::vector<FrameStatus>& statuses);
-  // Moves each record's bytes into the window.
-  void process_egress(std::vector<EgressRecord>&& egress);
+  void process_status(std::uint64_t seq, FrameStatus status);
+  // Delivers each record's bytes to the window.
+  void process_egress(const std::vector<EgressRecord>& egress);
   // Sends one worker's outbox in pipelined batches, with retry/backoff;
   // migrates and re-routes if the worker dies.  Without `drain` it sends
   // only full batches and returns with up to kMaxInflight still in flight;

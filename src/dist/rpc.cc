@@ -6,6 +6,7 @@
 #include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -60,6 +61,41 @@ void setup_stream(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+// Writes every byte the iovecs cover, looping over partial writes (which
+// may end mid-iovec) and EINTR, and polling while the socket buffer is full.
+void send_all(int fd, iovec* iov, int count, TimePoint deadline) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(count);
+#ifdef MSG_NOSIGNAL
+    const int flags = MSG_NOSIGNAL;
+#else
+    const int flags = 0;
+#endif
+    const ssize_t n = ::sendmsg(fd, &msg, flags);
+    if (n > 0) {
+      auto sent = static_cast<std::size_t>(n);
+      while (count > 0 && sent >= iov->iov_len) {
+        sent -= iov->iov_len;
+        ++iov;
+        --count;
+      }
+      if (count > 0) {
+        iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + sent;
+        iov->iov_len -= sent;
+      }
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      wait_ready(fd, POLLOUT, deadline, "send");
+      continue;
+    }
+    throw_errno("send");
+  }
+}
+
 }  // namespace
 
 Conn& Conn::operator=(Conn&& o) noexcept {
@@ -75,29 +111,6 @@ void Conn::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
-  }
-}
-
-void Conn::send_all(const std::uint8_t* data, std::size_t len,
-                    TimePoint deadline) {
-  std::size_t off = 0;
-  while (off < len) {
-#ifdef MSG_NOSIGNAL
-    const int flags = MSG_NOSIGNAL;
-#else
-    const int flags = 0;
-#endif
-    const ssize_t n = ::send(fd_, data + off, len - off, flags);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      wait_ready(fd_, POLLOUT, deadline, "send");
-      continue;
-    }
-    throw_errno("send");
   }
 }
 
@@ -124,22 +137,21 @@ void Conn::send_msg(MsgType type, const std::vector<std::uint8_t>& payload,
   if (!valid()) throw RpcError("send_msg: connection is closed");
   if (payload.size() > kMaxMessageBytes)
     throw RpcError("send_msg: payload exceeds kMaxMessageBytes");
-  std::vector<std::uint8_t> msg;
-  msg.reserve(5 + payload.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i)
-    msg.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  msg.push_back(static_cast<std::uint8_t>(type));
-  msg.insert(msg.end(), payload.begin(), payload.end());
-  send_all(msg.data(), msg.size(), deadline);
+  std::uint8_t hdr[5];
+  store_u32(hdr, static_cast<std::uint32_t>(payload.size()));
+  hdr[4] = static_cast<std::uint8_t>(type);
+  // The header and the payload go out in one gathered write, without being
+  // copied into one buffer first.
+  iovec iov[2] = {{hdr, sizeof(hdr)},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  send_all(fd_, iov, payload.empty() ? 1 : 2, deadline);
 }
 
 Message Conn::recv_msg(TimePoint deadline) {
   if (!valid()) throw RpcError("recv_msg: connection is closed");
   std::uint8_t hdr[5];
   recv_all(hdr, sizeof(hdr), deadline);
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
+  const std::uint32_t len = load_u32(hdr);
   if (len > kMaxMessageBytes)
     throw RpcError("recv_msg: length prefix exceeds kMaxMessageBytes");
   Message m;

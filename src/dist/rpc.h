@@ -86,7 +86,8 @@ class Conn {
   int fd() const { return fd_; }
   void close();
 
-  // Writes the (u32 length, u8 type, payload) envelope, looping over partial
+  // Writes the (u32 length, u8 type, payload) envelope as one gathered write
+  // (sendmsg over the header and the payload in place), looping over partial
   // writes and EINTR until done or `deadline` passes (throws RpcTimeout).
   void send_msg(MsgType type, const std::vector<std::uint8_t>& payload,
                 TimePoint deadline);
@@ -106,7 +107,6 @@ class Conn {
   bool wait_readable(const Waker& wake) const;
 
  private:
-  void send_all(const std::uint8_t* data, std::size_t len, TimePoint deadline);
   void recv_all(std::uint8_t* data, std::size_t len, TimePoint deadline);
 
   int fd_ = -1;

@@ -1,5 +1,7 @@
 #include "dist/worker.h"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace dist {
@@ -124,8 +126,13 @@ void WorkerServer::serve_connection(Conn& conn) {
     // did arrive).
     std::lock_guard<std::mutex> lock(mu_);
     std::deque<EgressRecord> requeue;
-    for (auto& batch : unconfirmed_)
-      for (auto& rec : batch) requeue.push_back(std::move(rec));
+    for (const Unconfirmed& held : unconfirmed_) {
+      if (held.bytes.empty()) continue;
+      Reader r(held.bytes.data() + held.egress_at,
+               held.bytes.size() - held.egress_at);
+      for (EgressRecord& rec : read_egress(r))
+        requeue.push_back(std::move(rec));
+    }
     for (auto& rec : out_egress_) requeue.push_back(std::move(rec));
     out_egress_.swap(requeue);
     unconfirmed_.clear();
@@ -155,7 +162,12 @@ void WorkerServer::serve_connection(Conn& conn) {
       // Request n proves replies up to n - kMaxInflight arrived: their
       // egress is now safely the front's problem.  The reply to this request
       // opens the newest unconfirmed entry.
-      while (unconfirmed_.size() >= kMaxInflight) unconfirmed_.pop_front();
+      while (unconfirmed_.size() >= kMaxInflight) {
+        std::vector<std::uint8_t>& confirmed = unconfirmed_.front().bytes;
+        if (confirmed.capacity() > spare_ack_.capacity())
+          spare_ack_.swap(confirmed);
+        unconfirmed_.pop_front();
+      }
       unconfirmed_.emplace_back();
     }
     try {
@@ -222,9 +234,15 @@ std::vector<EgressRecord> WorkerServer::take_egress() {
   return out;
 }
 
-void WorkerServer::hold_unconfirmed(std::vector<EgressRecord>&& egress) {
+void WorkerServer::hold_unconfirmed(const std::vector<std::uint8_t>& payload,
+                                    const std::vector<EgressRecord>& egress) {
   stats_.egress_returned += egress.size();
-  unconfirmed_.back() = std::move(egress);  // opened for this request
+  if (egress.empty()) return;
+  std::size_t frame_bytes = 0;
+  for (const EgressRecord& rec : egress) frame_bytes += rec.bytes.size();
+  const std::size_t section = egress_section_bytes(egress.size(), frame_bytes);
+  // The entry serve_connection opened for this request.
+  unconfirmed_.back().bytes.assign(payload.end() - section, payload.end());
 }
 
 void WorkerServer::handle_hello(Conn& conn, const Message& req) {
@@ -252,10 +270,9 @@ void WorkerServer::handle_hello(Conn& conn, const Message& req) {
   reply(conn, MsgType::kHelloAck, encode_hello_ack(ack));
 }
 
-FrameStatus WorkerServer::verdict(const FrameRecord& f,
+FrameStatus WorkerServer::verdict(const FrameRef& f,
                                   banzai::Packet& pkt) const {
-  const wire::ParseResult pr =
-      rx_->parse_exact(f.bytes.data(), f.bytes.size(), pkt);
+  const wire::ParseResult pr = rx_->parse_exact(f.data, f.len, pkt);
   if (!pr.ok()) return reject_status(pr.status);
   // The front keys dedup on the slot it declares; the state a frame mutates
   // is the slot its flow key hashes to here.  They must agree, or a frame
@@ -265,20 +282,26 @@ FrameStatus WorkerServer::verdict(const FrameRecord& f,
 }
 
 void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
-  const IngestBatch batch =
-      decode_ingest_batch(req.payload.data(), req.payload.size());
-  IngestAck ack;
-  std::vector<std::uint8_t> payload;
+  // Validates the whole payload before any slot is touched.
+  const IngestBatchView batch =
+      view_ingest_batch(req.payload.data(), req.payload.size());
+  const std::vector<std::uint8_t>* payload = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ack.seqs.reserve(batch.frames.size());
-    ack.statuses.reserve(batch.frames.size());
-    for (const FrameRecord& f : batch.frames) {
-      ack.seqs.push_back(f.seq);
+    const std::size_t num_fields = rx_->num_table_fields();
+    std::size_t n = 0;  // accepted so far: batch_in_[0, n) is their packets
+    for (const FrameRef& f : batch) {
       FrameStatus st = FrameStatus::kRejectBadValue;
       if (f.slot < applied_seq_.size()) {
-        batch_in_.emplace_back(rx_->num_table_fields());
-        st = verdict(f, batch_in_.back());
+        if (n == batch_in_.size()) batch_in_.emplace_back(num_fields);
+        banzai::Packet& pkt = batch_in_[n];
+        // A reused packet must be indistinguishable from a fresh one: parse
+        // writes only header fields, and a fresh packet's others are 0.
+        if (pkt.num_fields() == num_fields)
+          std::fill(pkt.data(), pkt.data() + num_fields, 0);
+        else
+          pkt = banzai::Packet(num_fields);
+        st = verdict(f, pkt);
         // At or below the slot's watermark is a retry or a network
         // duplicate: the at-least-once channel meeting the exactly-once
         // state machine.  Only an APPLIED frame dedups to kDuplicate.  A
@@ -294,11 +317,10 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
           batch_slots_.push_back(f.slot);
           batch_seqs_.push_back(f.seq);
           applied_seq_[f.slot] = f.seq;
-        } else {
-          batch_in_.pop_back();
+          ++n;
         }
       }
-      ack.statuses.push_back(st);
+      batch_status_.push_back(st);
       if (st == FrameStatus::kAccepted)
         ++stats_.frames_accepted;
       else if (st == FrameStatus::kDuplicate)
@@ -307,26 +329,40 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
         ++stats_.frames_rejected;
     }
 
-    const std::size_t n = batch_in_.size();
-    batch_out_.resize(n);
+    if (batch_out_.size() < n) batch_out_.resize(n);
     core_->drain(0, batch_slots_.data(), batch_in_.data(), n,
                  batch_out_.data());
-    // Redelivery owed from a lost connection goes first, then this
-    // request's own egress in arrival order.
-    ack.egress = take_egress();
-    ack.egress.reserve(ack.egress.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EgressRecord rec;
-      rec.seq = batch_seqs_[i];
-      rec.bytes = tx_->deparse(batch_out_[i]);
-      ack.egress.push_back(std::move(rec));
+
+    // The ack, written in place: every status, then redelivery owed from a
+    // lost connection, then this request's own egress in arrival order.
+    const std::size_t header = tx_->header_bytes();
+    std::size_t owed_bytes = 0;
+    for (const EgressRecord& rec : out_egress_) owed_bytes += rec.bytes.size();
+    const std::size_t egress = out_egress_.size() + n;
+    std::vector<std::uint8_t> ack = std::move(spare_ack_);
+    IngestAckWriter w(ack, batch.size(), egress, owed_bytes + n * header);
+    std::size_t i = 0;
+    for (const FrameRef& f : batch) w.status(f.seq, batch_status_[i++]);
+    for (const EgressRecord& rec : out_egress_) {
+      std::uint8_t* dst = w.egress(rec.seq, rec.bytes.size());
+      if (!rec.bytes.empty())
+        std::memcpy(dst, rec.bytes.data(), rec.bytes.size());
     }
+    for (i = 0; i < n; ++i)
+      tx_->deparse_into(batch_out_[i], w.egress(batch_seqs_[i], header));
+    out_egress_.clear();
+    stats_.egress_returned += egress;
+    // The drained packets go back to batch_in_, so their field storage
+    // serves the next request.
+    for (i = 0; i < n; ++i) std::swap(batch_in_[i], batch_out_[i]);
+    batch_status_.clear();
     batch_slots_.clear();
-    batch_in_.clear();
-    batch_out_.clear();
     batch_seqs_.clear();
-    payload = encode_ingest_ack(ack);
-    hold_unconfirmed(std::move(ack.egress));
+    // Held before it is sent, so a failed send still redelivers.
+    Unconfirmed& held = unconfirmed_.back();  // opened for this request
+    held.bytes = std::move(ack);
+    held.egress_at = w.egress_offset();
+    payload = &held.bytes;
     ++ingest_count_;
   }
   if (cfg_.stall_every != 0 && ingest_count_ % cfg_.stall_every == 0) {
@@ -335,7 +371,9 @@ void WorkerServer::handle_ingest(Conn& conn, const Message& req) {
     // outside mu_ keeps kill()/stats() responsive.
     std::this_thread::sleep_for(cfg_.stall_for);
   }
-  reply(conn, MsgType::kIngestAck, payload);
+  // Only this thread changes unconfirmed_ while it serves, and the next
+  // request is what confirms (and may drop) this entry.
+  reply(conn, MsgType::kIngestAck, *payload);
 }
 
 void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
@@ -347,7 +385,7 @@ void WorkerServer::handle_heartbeat(Conn& conn, const Message& req) {
   ack.delivered = stats_.frames_accepted;
   ack.egress = take_egress();
   const auto payload = encode_heartbeat_ack(ack);
-  hold_unconfirmed(std::move(ack.egress));
+  hold_unconfirmed(payload, ack.egress);
   reply(conn, MsgType::kHeartbeatAck, payload);
 }
 
@@ -358,7 +396,7 @@ void WorkerServer::handle_flush(Conn& conn) {
   std::lock_guard<std::mutex> lock(mu_);
   ack.egress = take_egress();
   const auto payload = encode_flush_ack(ack);
-  hold_unconfirmed(std::move(ack.egress));
+  hold_unconfirmed(payload, ack.egress);
   reply(conn, MsgType::kFlushAck, payload);
 }
 
@@ -386,7 +424,7 @@ void WorkerServer::handle_snapshot(Conn& conn, const Message& req) {
   }
   resp.egress = take_egress();
   const auto payload = encode_snapshot_resp(resp);
-  hold_unconfirmed(std::move(resp.egress));
+  hold_unconfirmed(payload, resp.egress);
   reply(conn, MsgType::kSnapshotResp, payload);
 }
 

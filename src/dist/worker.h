@@ -7,9 +7,11 @@
 // heartbeats.
 //
 // Run to completion: each request executes entirely on the serve thread
-// before its reply is written.  An INGEST_BATCH is decoded, deduped, parsed,
-// drained through the ShardCore, deparsed and acknowledged — and the ack
-// carries the egress of its own accepted frames.  The core has one shard, so
+// before its reply is written.  An INGEST_BATCH is validated, deduped,
+// parsed, drained through the ShardCore, deparsed and acknowledged — and the
+// ack carries the egress of its own accepted frames.  That path allocates
+// nothing per frame: frames are parsed in place from the request payload
+// into reused packets, and egress is deparsed straight into the ack.  The core has one shard, so
 // the accepted frames drain in a single call, in arrival order, and egress i
 // is frame i's.  No frame is ever in flight between requests, so snapshot,
 // restore, flush and engine swap are plain reads and writes of slot state:
@@ -154,13 +156,15 @@ class WorkerServer {
   // Moves every queued egress record (redelivery after a reconnect) into a
   // response.
   std::vector<EgressRecord> take_egress();
-  // Holds a reply's egress until a later request confirms it arrived.
-  void hold_unconfirmed(std::vector<EgressRecord>&& egress);
+  // Holds a control reply's egress (the section that ends `payload`) until
+  // a later request confirms the reply arrived.
+  void hold_unconfirmed(const std::vector<std::uint8_t>& payload,
+                        const std::vector<EgressRecord>& egress);
 
   // The verdict on one frame's bytes for its declared slot: a typed parse
   // reject, kRejectBadValue when the flow key hashes to another slot, else
-  // kAccepted.  Parses into pkt.
-  FrameStatus verdict(const FrameRecord& f, banzai::Packet& pkt) const;
+  // kAccepted.  Parses into pkt, which must be zeroed.
+  FrameStatus verdict(const FrameRef& f, banzai::Packet& pkt) const;
 
   void handle_ingest(Conn& conn, const Message& req);
   void handle_snapshot(Conn& conn, const Message& req);
@@ -190,19 +194,31 @@ class WorkerServer {
   std::unique_ptr<banzai::ShardCore> core_;
   std::vector<std::uint64_t> applied_seq_;  // per slot, 0 = nothing applied
   std::deque<EgressRecord> out_egress_;     // queued for the next reply
-  // Egress of the most recent replies, one entry per reply, oldest first.
-  // The front keeps at most kMaxInflight requests outstanding, so request n
-  // on the same connection proves replies up to n - kMaxInflight arrived
-  // (confirmed -> dropped); a NEW connection instead means any of the rest
-  // may have died with the old one, so they re-queue onto out_egress_.  The
-  // front tier's window dedups the ones that did arrive.
-  std::deque<std::vector<EgressRecord>> unconfirmed_;
+  // Egress of the most recent replies, one entry per reply, oldest first,
+  // kept encoded: `bytes` from `egress_at` on is the reply's egress section
+  // (an ingest ack's whole payload is moved in; a control reply keeps only
+  // its section; no egress leaves `bytes` empty).  The front keeps at most
+  // kMaxInflight requests outstanding, so request n on the same connection
+  // proves replies up to n - kMaxInflight arrived (confirmed -> dropped); a
+  // NEW connection instead means any of the rest may have died with the old
+  // one, so their sections decode back onto out_egress_.  The front tier's
+  // window dedups the ones that did arrive.
+  struct Unconfirmed {
+    std::vector<std::uint8_t> bytes;
+    std::size_t egress_at = 0;
+  };
+  std::deque<Unconfirmed> unconfirmed_;
+  // A confirmed ack's payload buffer, reused for the next ack.
+  std::vector<std::uint8_t> spare_ack_;
   WorkerStats stats_;
   std::uint64_t conns_seen_ = 0;
   std::uint32_t ingest_count_ = 0;          // for the stall_every knob
 
-  // One ingest request's accepted frames in arrival order: their slots,
-  // parsed and processed packets, and global seqs.  Reused across requests.
+  // One ingest request's verdicts, and its accepted frames in arrival order:
+  // their slots, parsed and processed packets, and global seqs.  Reused
+  // across requests: batch_in_ keeps every packet it ever held (the drained
+  // ones swap back in), so steady-state ingest allocates no packet.
+  std::vector<FrameStatus> batch_status_;
   std::vector<std::size_t> batch_slots_;
   std::vector<banzai::Packet> batch_in_, batch_out_;
   std::vector<std::uint64_t> batch_seqs_;

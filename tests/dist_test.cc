@@ -89,6 +89,127 @@ TEST(DistFramingTest, IngestBatchAndAckRoundTrip) {
   EXPECT_EQ(ab.egress[0].seq, 7u);
 }
 
+// The ingest exchange's byte format is pinned, so the in-place views and
+// writer cannot drift from the owning encoders (or from protocol v3).
+TEST(DistFramingTest, IngestBatchAndAckGoldenBytes) {
+  dist::IngestBatch b;
+  b.frames.push_back({1, 2, {0xAA, 0xBB}});
+  b.frames.push_back({0x0102030405060708ull, 0x0A0B0C0D, {}});
+  const std::vector<std::uint8_t> batch_golden = {
+      0x02, 0x00, 0x00, 0x00,                          // 2 frames
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 1
+      0x02, 0x00, 0x00, 0x00,                          // slot 2
+      0x02, 0x00, 0x00, 0x00, 0xAA, 0xBB,              // 2 bytes
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // seq
+      0x0D, 0x0C, 0x0B, 0x0A,                          // slot
+      0x00, 0x00, 0x00, 0x00,                          // no bytes
+  };
+  EXPECT_EQ(dist::encode_ingest_batch(b), batch_golden);
+
+  dist::IngestAck a;
+  a.seqs = {1, 0x0102030405060708ull};
+  a.statuses = {dist::FrameStatus::kAccepted,
+                dist::FrameStatus::kRejectBadValue};
+  a.egress.push_back({5, {0xDE, 0xAD}});
+  const std::vector<std::uint8_t> ack_golden = {
+      0x02, 0x00, 0x00, 0x00,                          // 2 statuses
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 1
+      0x00,                                            // kAccepted
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // seq
+      0x04,                                            // kRejectBadValue
+      0x01, 0x00, 0x00, 0x00,                          // 1 egress record
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 5
+      0x02, 0x00, 0x00, 0x00, 0xDE, 0xAD,              // 2 bytes
+  };
+  EXPECT_EQ(dist::encode_ingest_ack(a), ack_golden);
+}
+
+// The views the hot path reads are the owning decoders' only parser: they
+// yield the same records in place, and reject every truncation and any
+// trailing byte before yielding anything.
+TEST(DistFramingTest, IngestViewsMatchDecodersAndValidateWholePayload) {
+  dist::IngestBatch b;
+  for (std::uint64_t i = 1; i <= 4; ++i)
+    b.frames.push_back({i * 10, static_cast<std::uint32_t>(i),
+                        std::vector<std::uint8_t>(i, 0x5A)});
+  const auto eb = dist::encode_ingest_batch(b);
+  const dist::IngestBatchView bv =
+      dist::view_ingest_batch(eb.data(), eb.size());
+  ASSERT_EQ(bv.size(), 4u);
+  std::size_t i = 0;
+  for (const dist::FrameRef& f : bv) {
+    EXPECT_EQ(f.seq, b.frames[i].seq);
+    EXPECT_EQ(f.slot, b.frames[i].slot);
+    EXPECT_EQ(std::vector<std::uint8_t>(f.data, f.data + f.len),
+              b.frames[i].bytes);
+    ++i;
+  }
+  EXPECT_EQ(i, 4u);
+
+  dist::IngestAck a;
+  a.seqs = {3, 4};
+  a.statuses = {dist::FrameStatus::kDuplicate,
+                dist::FrameStatus::kRejectOversized};
+  a.egress.push_back({3, {1, 2, 3}});
+  a.egress.push_back({9, {}});
+  const auto ea = dist::encode_ingest_ack(a);
+  const dist::IngestAckView av = dist::view_ingest_ack(ea.data(), ea.size());
+  ASSERT_EQ(av.statuses.size(), 2u);
+  ASSERT_EQ(av.egress.size(), 2u);
+  i = 0;
+  for (const dist::StatusRef& s : av.statuses) {
+    EXPECT_EQ(s.seq, a.seqs[i]);
+    EXPECT_EQ(s.status, a.statuses[i]);
+    ++i;
+  }
+  i = 0;
+  for (const dist::EgressRef& e : av.egress) {
+    EXPECT_EQ(e.seq, a.egress[i].seq);
+    EXPECT_EQ(std::vector<std::uint8_t>(e.data, e.data + e.len),
+              a.egress[i].bytes);
+    ++i;
+  }
+
+  for (std::size_t cut = 0; cut < eb.size(); ++cut) {
+    EXPECT_THROW(dist::view_ingest_batch(eb.data(), cut), FramingError)
+        << "cut at " << cut;
+    EXPECT_THROW(dist::decode_ingest_batch(eb.data(), cut), FramingError)
+        << "cut at " << cut;
+  }
+  for (std::size_t cut = 0; cut < ea.size(); ++cut) {
+    EXPECT_THROW(dist::view_ingest_ack(ea.data(), cut), FramingError)
+        << "cut at " << cut;
+    EXPECT_THROW(dist::decode_ingest_ack(ea.data(), cut), FramingError)
+        << "cut at " << cut;
+  }
+  auto trailing = ea;
+  trailing.push_back(0);
+  EXPECT_THROW(dist::view_ingest_ack(trailing.data(), trailing.size()),
+               FramingError);
+  auto bad_status = ea;
+  bad_status[4 + 8] = 0x7F;  // first status byte
+  EXPECT_THROW(dist::view_ingest_ack(bad_status.data(), bad_status.size()),
+               FramingError);
+}
+
+// The ack writer sizes its payload once; writing past the counts it was
+// sized for throws instead of running off the buffer.
+TEST(DistFramingTest, IngestAckWriterRefusesToOverrun) {
+  std::vector<std::uint8_t> out;
+  dist::IngestAckWriter w(out, 1, 1, 2);
+  w.status(7, dist::FrameStatus::kAccepted);
+  EXPECT_THROW(w.status(8, dist::FrameStatus::kAccepted), FramingError);
+  EXPECT_THROW(w.egress(7, 3), FramingError);  // 3 > the 2 bytes sized
+  std::uint8_t* dst = w.egress(7, 2);
+  dst[0] = 0xCA;
+  dst[1] = 0xFE;
+  EXPECT_THROW(w.egress(8, 0), FramingError);
+  EXPECT_EQ(w.egress_offset(), 4u + 9u);
+  const dist::IngestAck back = dist::decode_ingest_ack(out.data(), out.size());
+  ASSERT_EQ(back.egress.size(), 1u);
+  EXPECT_EQ(back.egress[0].bytes, (std::vector<std::uint8_t>{0xCA, 0xFE}));
+}
+
 TEST(DistFramingTest, TruncatedAndTrailingBytesThrow) {
   dist::Hello h;
   h.algorithm = "x";
@@ -216,6 +337,37 @@ TEST(DistBackoffTest, BoundedExponentialWithDeterministicJitter) {
 }
 
 // ---- health state machine --------------------------------------------------
+
+// send_msg gathers header and payload into one sendmsg.  A payload far
+// larger than the socket buffers, sent to a reader that starts late, makes
+// the sender wait on a full buffer and resume partial gathered writes
+// mid-payload; the message must still arrive byte-identical.
+TEST(DistRpcTest, LargePayloadToLateReaderArrivesIntact) {
+  dist::Listener listener;
+  listener.listen(0);
+  dist::Conn client = dist::connect_local(listener.port(), dist::Millis(2000));
+  dist::Conn server = listener.accept(dist::Clock::now() + dist::Millis(2000));
+  std::vector<std::uint8_t> payload(8u << 20);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 131 + (i >> 16));
+  std::thread sender([&] {
+    client.send_msg(MsgType::kSnapshotResp, payload,
+                    dist::Clock::now() + dist::Millis(10000));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const dist::Message got =
+      server.recv_msg(dist::Clock::now() + dist::Millis(10000));
+  sender.join();
+  EXPECT_EQ(got.type, MsgType::kSnapshotResp);
+  EXPECT_TRUE(got.payload == payload);
+  // An empty payload is a header-only write.
+  client.send_msg(MsgType::kFlushReq, {},
+                  dist::Clock::now() + dist::Millis(2000));
+  const dist::Message empty =
+      server.recv_msg(dist::Clock::now() + dist::Millis(2000));
+  EXPECT_EQ(empty.type, MsgType::kFlushReq);
+  EXPECT_TRUE(empty.payload.empty());
+}
 
 TEST(DistHealthTest, WalksHealthySuspectDeadRecovering) {
   FailureDetector d(dist::HealthConfig{3});
@@ -611,8 +763,8 @@ struct RawWorker {
     return frames;
   }
 
-  // Ingests frames in one batch and returns the per-frame statuses.
-  std::vector<dist::FrameStatus> ingest(
+  // One batch of `frames` under fresh seqs, each declaring its own slot.
+  dist::IngestBatch batch_of(
       const std::vector<std::vector<std::uint8_t>>& frames) {
     dist::IngestBatch b;
     for (const auto& f : frames) {
@@ -622,8 +774,15 @@ struct RawWorker {
       rec.bytes = f;
       b.frames.push_back(std::move(rec));
     }
+    return b;
+  }
+
+  // Ingests frames in one batch and returns the per-frame statuses.
+  std::vector<dist::FrameStatus> ingest(
+      const std::vector<std::vector<std::uint8_t>>& frames) {
     const auto resp =
-        call(MsgType::kIngestBatch, dist::encode_ingest_batch(b));
+        call(MsgType::kIngestBatch,
+             dist::encode_ingest_batch(batch_of(frames)));
     EXPECT_EQ(resp.type, MsgType::kIngestAck);
     const auto ack =
         dist::decode_ingest_ack(resp.payload.data(), resp.payload.size());
@@ -848,6 +1007,86 @@ TEST(DistWorkerAckTest, IngestAckCarriesExactlyItsOwnFramesEgress) {
   }
 }
 
+// Validate before touch, worker side: an INGEST_BATCH whose LAST record is
+// truncated is refused whole (kError) with no frame of it applied, so
+// re-sending the valid batch applies every frame — kAccepted, not
+// kDuplicate — with egress equal to the sequential reference.
+TEST(DistWorkerGuardTest, TruncatedLastRecordRejectsTheWholeBatch) {
+  RawWorker w;
+  const auto frames = w.make_frames(64, 163);
+  const auto expected = w.sequential_reference(frames);
+  const dist::IngestBatch b = w.batch_of(frames);
+  const auto payload = dist::encode_ingest_batch(b);
+  auto truncated = payload;
+  truncated.pop_back();  // the last frame's bytes end one short
+  EXPECT_EQ(w.call(MsgType::kIngestBatch, truncated).type, MsgType::kError);
+
+  const auto resp = w.call(MsgType::kIngestBatch, payload);
+  ASSERT_EQ(resp.type, MsgType::kIngestAck);
+  const auto ack =
+      dist::decode_ingest_ack(resp.payload.data(), resp.payload.size());
+  ASSERT_EQ(ack.statuses.size(), frames.size());
+  ASSERT_EQ(ack.egress.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(ack.statuses[i], dist::FrameStatus::kAccepted) << "frame " << i;
+    EXPECT_EQ(ack.egress[i].seq, b.frames[i].seq) << "frame " << i;
+    EXPECT_EQ(ack.egress[i].bytes, expected[i]) << "frame " << i;
+  }
+}
+
+// The worker parses into packets it reuses across requests.  Requests whose
+// accepted count shrinks and grows again — 128 frames, then 3 (one
+// malformed, one a duplicate), then 128 — must still yield egress
+// byte-equal to the sequential reference: a stale field left in a reused
+// packet would show here.  Every raw ack is also canonical: re-encoding its
+// decoded form reproduces it byte for byte.
+TEST(DistWorkerAckTest, ReusedPacketsMatchReferenceAsBatchesShrinkAndGrow) {
+  RawWorker w;
+  const auto frames = w.make_frames(257, 167);
+  const auto expected = w.sequential_reference(frames);
+  auto send = [&](const dist::IngestBatch& b) {
+    const auto resp =
+        w.call(MsgType::kIngestBatch, dist::encode_ingest_batch(b));
+    EXPECT_EQ(resp.type, MsgType::kIngestAck);
+    const auto ack =
+        dist::decode_ingest_ack(resp.payload.data(), resp.payload.size());
+    EXPECT_EQ(dist::encode_ingest_ack(ack), resp.payload);
+    return ack;
+  };
+  auto expect_egress = [&](const dist::IngestAck& ack,
+                           const dist::IngestBatch& b, std::size_t from) {
+    ASSERT_EQ(ack.egress.size(), b.frames.size());
+    for (std::size_t i = 0; i < b.frames.size(); ++i) {
+      EXPECT_EQ(ack.statuses[i], dist::FrameStatus::kAccepted);
+      EXPECT_EQ(ack.egress[i].seq, b.frames[i].seq);
+      EXPECT_EQ(ack.egress[i].bytes, expected[from + i])
+          << "frame " << from + i;
+    }
+  };
+
+  const dist::IngestBatch first =
+      w.batch_of({frames.begin(), frames.begin() + 128});
+  expect_egress(send(first), first, 0);
+
+  dist::IngestBatch small;
+  small.frames.push_back({w.next_seq++, 0, {0xD0}});  // malformed
+  small.frames.push_back(first.frames[0]);            // already applied
+  small.frames.push_back({w.next_seq++, w.slot_of(frames[128]), frames[128]});
+  const auto ack = send(small);
+  ASSERT_EQ(ack.statuses.size(), 3u);
+  EXPECT_NE(ack.statuses[0], dist::FrameStatus::kAccepted);
+  EXPECT_NE(ack.statuses[0], dist::FrameStatus::kDuplicate);
+  EXPECT_EQ(ack.statuses[1], dist::FrameStatus::kDuplicate);
+  EXPECT_EQ(ack.statuses[2], dist::FrameStatus::kAccepted);
+  ASSERT_EQ(ack.egress.size(), 1u);
+  EXPECT_EQ(ack.egress[0].seq, small.frames[2].seq);
+  EXPECT_EQ(ack.egress[0].bytes, expected[128]);
+
+  const dist::IngestBatch last =
+      w.batch_of({frames.begin() + 129, frames.end()});
+  expect_egress(send(last), last, 129);
+}
+
 // The pipelined ingest window's redelivery contract: with up to
 // kMaxInflight requests outstanding, request n confirms only the replies up
 // to n - kMaxInflight, so the worker must hold the egress of every later
@@ -1005,6 +1244,10 @@ struct ScriptedWorker {
   bool close_on_restore = false;
   std::uint64_t inject_seq = 0;  // nonzero: prepend {inject_seq, junk} once
   std::atomic<bool> injected{false};
+  std::size_t runt_below = 0;  // frames shorter than this: kRejectTruncated
+  std::uint32_t truncate_ack = 0;  // nonzero: this ingest ack (1-based)
+                                   // loses its last byte
+  std::uint32_t ingest_acks = 0;
 
   explicit ScriptedWorker(std::uint32_t slots) : num_slots(slots) {
     listener.listen(0);
@@ -1063,10 +1306,16 @@ struct ScriptedWorker {
               ack.egress.push_back({inject_seq, {0xEE}});
             for (const auto& f : batch.frames) {
               ack.seqs.push_back(f.seq);
+              if (f.bytes.size() < runt_below) {
+                ack.statuses.push_back(dist::FrameStatus::kRejectTruncated);
+                continue;
+              }
               ack.statuses.push_back(dist::FrameStatus::kAccepted);
               if (echo_egress) ack.egress.push_back({f.seq, f.bytes});
             }
-            reply(conn, MsgType::kIngestAck, dist::encode_ingest_ack(ack));
+            auto payload = dist::encode_ingest_ack(ack);
+            if (++ingest_acks == truncate_ack) payload.pop_back();
+            reply(conn, MsgType::kIngestAck, payload);
             break;
           }
           case MsgType::kRestoreReq:
@@ -1168,6 +1417,51 @@ TEST(DistFrontGuardTest, CorruptEgressSeqIsDroppedNotFatal) {
     ASSERT_EQ(got[i], frames[i]) << "frame " << i;
   EXPECT_TRUE(front.settled());
   EXPECT_EQ(front.stats().egress_corrupt, 1u);
+}
+
+// Validate before touch, front side: an ack whose LAST egress record is
+// truncated is refused whole — none of its statuses, tombstones or egress
+// is applied — and the front reconnects and re-sends the frames.  The final
+// egress is then exact-once: no duplicate anywhere, every accept and every
+// reject counted once.
+TEST(DistFrontGuardTest, TruncatedAckIsRefusedWholeAndRecovered) {
+  CodecRig rig;
+  ScriptedWorker fake(kSlots);
+  fake.echo_egress = true;
+  fake.runt_below = rig.rx->header_bytes();
+  fake.truncate_ack = 2;
+
+  FrontConfig fc;
+  fc.algorithm = "flowlets";
+  fc.num_slots = kSlots;
+  fc.flow_key = rig.flow_key;
+  fc.max_batch = 16;
+  FrontTier front(rig.rx, fc);
+  front.add_worker(fake.port());
+  front.connect();
+
+  const auto frames = rig.make_frames(96, 173);
+  std::uint64_t runts = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (i % 7 == 3) {
+      front.offer(std::vector<std::uint8_t>{0xD0});
+      ++runts;
+    }
+    front.offer(frames[i]);
+  }
+  front.flush();
+
+  const auto got = front.drain_egress();
+  ASSERT_EQ(got.size(), frames.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], frames[i]) << "frame " << i;
+  EXPECT_TRUE(front.settled());
+  const dist::FrontStats st = front.stats();
+  EXPECT_GE(st.retries, 1u);
+  EXPECT_GE(st.reconnects, 2u);
+  EXPECT_EQ(st.egress_duplicates, 0u);
+  EXPECT_EQ(st.rejects, runts);
+  EXPECT_EQ(st.frames_acked, frames.size());
 }
 
 // A migration target dying mid-restore is a transport failure, not a fatal
