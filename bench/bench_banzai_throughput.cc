@@ -15,7 +15,7 @@
 
 #include "algorithms/corpus.h"
 #include "atoms/targets.h"
-#include "banzai/batch.h"
+#include "banzai/column.h"
 #include "banzai/sim.h"
 #include "core/compiler.h"
 #include "core/interp.h"
@@ -82,42 +82,13 @@ void BM_MachineProcess(benchmark::State& state, const std::string& name,
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_BatchSim(benchmark::State& state, const std::string& name,
-                 const std::string& target, banzai::ExecEngine engine,
-                 banzai::BatchDispatch dispatch) {
-  auto compiled = compile_alg(name, target);
-  auto& machine = compiled.machine();
-  machine.set_engine(engine);
-  auto workload = make_workload(algorithms::algorithm(name),
-                                machine.fields(), 4096);
-  banzai::BatchSim sim(machine, 256, dispatch);
-  for (auto _ : state) {
-    // The workload deep-copy and egress teardown are identical for every
-    // engine and dispatch shape; keep them out of the timed region so the
-    // reported ratio measures only the engines themselves.  The columnar
-    // rows DO time the gather/scatter transpose — it is part of the shape's
-    // cost, and the acceptance bar (columnar >= rows on the compiled
-    // engines) has to clear it.
-    state.PauseTiming();
-    sim.enqueue(workload);
-    sim.take_egress();
-    state.ResumeTiming();
-    sim.run();
-    benchmark::DoNotOptimize(sim.egress());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(workload.size()));
-}
-
 // Batched execution with each shape fed its native currency: the row shape
 // gets the row-major packet slice it runs in place, the columnar shape gets
 // a pre-staged ColumnBatch.  No transpose and no copies inside the timed
 // region — this is the Machine::run_batch cost of each batch shape, i.e. the
-// number that says which currency a batch should LIVE in.  BM_BatchSim above
-// answers the other question: what the columnar shape costs end to end when
-// every batch arrives and leaves as row-major Packets (its rows time the
-// gather/scatter).  Registered across the whole mapping corpus on the native
-// engine; EXPERIMENTS.md records both tables.
+// number that says which currency a batch should LIVE in.  Registered
+// across the whole mapping corpus on the native engine; EXPERIMENTS.md
+// ("Batch shape") records the table.
 void BM_RunBatch(benchmark::State& state, const std::string& name,
                  const std::string& target, bool columnar) {
   auto compiled = compile_alg(name, target);
@@ -235,26 +206,6 @@ int main(int argc, char** argv) {
           [name, target, ec](benchmark::State& s) {
             BM_MachineProcess(s, name, target, ec.engine);
           });
-      // One BatchSim row per batch shape: rows (in-place, row-major — what
-      // kAuto dispatches) and — on the compiled engines, where the column
-      // loops exist — columnar (SoA transpose through banzai/column.h).
-      // The closure engine would pay the transpose twice for identical
-      // execution, so it keeps only the rows shape.
-      benchmark::RegisterBenchmark(
-          (std::string("BM_BatchSim/") + name + "/" + ec.label + "/rows")
-              .c_str(),
-          [name, target, ec](benchmark::State& s) {
-            BM_BatchSim(s, name, target, ec.engine,
-                        banzai::BatchDispatch::kRows);
-          });
-      if (ec.engine != banzai::ExecEngine::kClosure)
-        benchmark::RegisterBenchmark(
-            (std::string("BM_BatchSim/") + name + "/" + ec.label + "/cols")
-                .c_str(),
-            [name, target, ec](benchmark::State& s) {
-              BM_BatchSim(s, name, target, ec.engine,
-                          banzai::BatchDispatch::kColumnar);
-            });
     }
     benchmark::RegisterBenchmark(
         (std::string("BM_Interpreter/") + name).c_str(),

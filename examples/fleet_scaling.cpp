@@ -1,11 +1,13 @@
 // Scale one compiled packet transaction across a fleet of Banzai replicas.
 //
-// Compiles the paper's flowlet-switching example, stands up a 4-shard Fleet
-// partitioned by flow hash, pushes a Zipf-skewed trace through it, and checks
-// every shard against a single reference machine fed the same sub-trace.
+// Compiles the paper's flowlet-switching example, stands up a 4-shard
+// ShardCore partitioned by flow hash, pushes a Zipf-skewed trace through it,
+// and checks every shard against a single reference machine fed the same
+// sub-trace.
 //
 //   $ ./build/examples/fleet_scaling
 #include <cstdio>
+#include <vector>
 
 #include "algorithms/corpus.h"
 #include "banzai/fleet.h"
@@ -33,34 +35,38 @@ int main() {
     trace.push_back(std::move(p));
   }
 
-  banzai::FleetConfig fleet_cfg;
-  fleet_cfg.num_shards = 4;
-  fleet_cfg.batch_size = 256;
-  fleet_cfg.flow_key = {ft.id_of("sport"), ft.id_of("dport")};
-  banzai::Fleet fleet(compiled.machine(), fleet_cfg);
-
-  banzai::FleetResult result = fleet.run(trace);
-  std::printf("%zu packets over %zu shards:\n", trace.size(),
-              fleet.num_shards());
+  // One slot replica per shard, 256-packet batches, keyed on the flow.
+  const std::size_t kShards = 4;
+  banzai::ShardCore core(compiled.machine(), kShards, kShards, 256,
+                         {ft.id_of("sport"), ft.id_of("dport")});
+  std::printf("%zu packets over %zu shards:\n", trace.size(), kShards);
 
   bool all_ok = true;
-  for (std::size_t s = 0; s < fleet.num_shards(); ++s) {
-    const auto& shard = result.shards[s];
+  for (std::size_t s = 0; s < kShards; ++s) {
+    // This shard's packets, in arrival order, drained in one call.
+    std::vector<std::size_t> slots;
+    std::vector<banzai::Packet> in;
+    for (const banzai::Packet& p : trace) {
+      const std::size_t slot = core.slot_of(p);
+      if (slot % kShards != s) continue;
+      slots.push_back(slot);
+      in.push_back(p);
+    }
+    const std::vector<banzai::Packet> sub_trace = in;
+    std::vector<banzai::Packet> out(in.size());
+    core.drain(s, slots.data(), in.data(), in.size(), out.data());
+
     // Reference: a lone machine serving exactly this shard's packets.
     banzai::Machine reference = compiled.machine().clone();
     bool ok = true;
-    for (std::size_t i = 0; i < shard.source_index.size(); ++i)
-      if (!(shard.egress[i] == reference.process(trace[shard.source_index[i]])))
-        ok = false;
-    ok = ok && fleet.shard_machine(s).state() == reference.state();
+    for (std::size_t i = 0; i < sub_trace.size(); ++i)
+      if (!(out[i] == reference.process(sub_trace[i]))) ok = false;
+    ok = ok && core.slot_machine(s).state() == reference.state();
     all_ok = all_ok && ok;
-    std::printf(
-        "  shard %zu: %6zu packets in %4llu batches — %s\n", s,
-        shard.egress.size(),
-        static_cast<unsigned long long>(shard.stats.batches),
-        ok ? "matches single-machine reference" : "MISMATCH");
+    std::printf("  shard %zu: %6zu packets — %s\n", s, out.size(),
+                ok ? "matches single-machine reference" : "MISMATCH");
   }
-  std::printf("%s\n", all_ok ? "fleet == single machine, per flow"
+  std::printf("%s\n", all_ok ? "shards == single machine, per flow"
                              : "DIVERGENCE DETECTED");
   return all_ok ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 // into `out`.  Each atom owns disjoint output fields and disjoint state, which
 // code generation guarantees.  Those two disjointness properties are what
 // every faster engine rests on: they make the atom loop and the packet loop
-// commute (Stage::execute_batch, BatchSim's stage-major order) and they make
+// commute (Stage::execute_batch, Machine::run_batch's stage-major order) and they make
 // in-place execution legal (the fused micro-op kernel of banzai/kernel.h).
 //
 // Engine-equivalence contract: the closure in `exec` is the reference

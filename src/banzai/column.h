@@ -86,46 +86,6 @@ class ColumnBatch {
     }
   }
 
-  // Subset transpose, driven by the compiled program's liveness sets
-  // (CompiledPipeline::live_in_fields / written_fields): reshapes to the full
-  // num_fields width but copies only the listed columns in, leaving the rest
-  // unspecified.  Legal whenever every untransposed column is written before
-  // it is read — which the kernel ISA guarantees for every field outside the
-  // live-in set, since all its writes are unconditional.  Cuts the transpose
-  // cost from 2*n*num_fields to n*(live_in + written) copies, which is what
-  // lets the columnar shape beat rows end to end.
-  void gather_fields(const Packet* pkts, std::size_t n, std::size_t num_fields,
-                     const std::uint32_t* fields, std::size_t nf) {
-    for (std::size_t i = 0; i < n; ++i)
-      if (pkts[i].num_fields() < num_fields)
-        throw std::invalid_argument(
-            "ColumnBatch::gather_fields: packet narrower than the batch's "
-            "field count");
-    reshape(num_fields, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value* row = pkts[i].data();
-      for (std::size_t k = 0; k < nf; ++k)
-        col_ptrs_[fields[k]][i] = row[fields[k]];
-    }
-  }
-
-  // Transposes only the listed columns back out; every other field keeps the
-  // value it had in the packet.  The field list must not contain columns the
-  // program left unwritten and ungathered (their contents are unspecified).
-  void scatter_fields(Packet* pkts, const std::uint32_t* fields,
-                      std::size_t nf) const {
-    for (std::size_t i = 0; i < size_; ++i)
-      if (pkts[i].num_fields() < num_fields_)
-        throw std::invalid_argument(
-            "ColumnBatch::scatter_fields: packet narrower than the batch's "
-            "field count");
-    for (std::size_t i = 0; i < size_; ++i) {
-      Value* row = pkts[i].data();
-      for (std::size_t k = 0; k < nf; ++k)
-        row[fields[k]] = col_ptrs_[fields[k]][i];
-    }
-  }
-
   Value* col(FieldId f) { return col_ptrs_[f]; }
   const Value* col(FieldId f) const { return col_ptrs_[f]; }
   // One pointer per field in FieldId order — the native columnar ABI.

@@ -1,7 +1,7 @@
 #include "banzai/fleet.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "sim/partition.h"
@@ -10,8 +10,9 @@ namespace banzai {
 
 ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
                      std::size_t num_shards, std::size_t batch_size,
-                     std::vector<FieldId> flow_key, BatchDispatch dispatch)
+                     std::vector<FieldId> flow_key)
     : num_shards_(num_shards == 0 ? 1 : num_shards),
+      batch_size_(batch_size == 0 ? 1 : batch_size),
       flow_key_(std::move(flow_key)) {
   if (num_slots == 0) num_slots = num_shards_;
   if (num_slots < num_shards_)
@@ -23,7 +24,6 @@ ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
         "ShardCore: flow_key must name at least one packet field when "
         "partitioning state across slots");
   slots_.reserve(num_slots);
-  sims_.reserve(num_slots);
   for (std::size_t v = 0; v < num_slots; ++v) {
     slots_.push_back(prototype.clone());
     // Size each replica's stage-counter table now, before workers may read
@@ -32,7 +32,6 @@ ShardCore::ShardCore(const Machine& prototype, std::size_t num_slots,
     // core's aggregated totals.
     slots_.back().prepare_stage_counters();
     slots_.back().reset_stage_counters();
-    sims_.emplace_back(slots_.back(), batch_size, dispatch);
   }
   scratch_.resize(num_shards_);
   for (Scratch& sc : scratch_) sc.idx.resize(num_slots);
@@ -51,15 +50,6 @@ std::size_t ShardCore::slot_of(const Packet& pkt) const {
   return static_cast<std::size_t>(flow_hash(pkt) % slots_.size());
 }
 
-BatchStats ShardCore::shard_stats(std::size_t shard) const {
-  BatchStats sum;
-  for (std::size_t v = shard; v < sims_.size(); v += num_shards_) {
-    sum.batches += sims_[v].stats().batches;
-    sum.packets += sims_[v].stats().packets;
-  }
-  return sum;
-}
-
 void ShardCore::drain(std::size_t shard, const std::size_t* slot_ids,
                       Packet* pkts, std::size_t n, Packet* out) {
   Scratch& sc = scratch_[shard];
@@ -70,12 +60,14 @@ void ShardCore::drain(std::size_t shard, const std::size_t* slot_ids,
   }
   for (std::size_t slot : sc.touched) {
     std::vector<std::size_t>& idx = sc.idx[slot];
-    BatchSim& sim = sims_[slot];
-    for (std::size_t k : idx) sim.enqueue(std::move(pkts[k]));
-    sim.run();
-    std::vector<Packet> egress = sim.take_egress();
-    for (std::size_t k = 0; k < idx.size(); ++k)
-      out[idx[k]] = std::move(egress[k]);
+    const std::size_t m = idx.size();
+    if (sc.rows.size() < m) sc.rows.resize(m);
+    for (std::size_t k = 0; k < m; ++k) sc.rows[k] = std::move(pkts[idx[k]]);
+    Machine& machine = slots_[slot];
+    for (std::size_t start = 0; start < m; start += batch_size_)
+      machine.run_batch(BatchView::rows(sc.rows.data() + start,
+                                        std::min(batch_size_, m - start)));
+    for (std::size_t k = 0; k < m; ++k) out[idx[k]] = std::move(sc.rows[k]);
     idx.clear();
   }
   sc.touched.clear();
@@ -100,67 +92,6 @@ void ShardCore::restore_state(const std::vector<StateStore>& snap) {
         "ShardCore::restore_state: snapshot has a different slot count");
   for (std::size_t v = 0; v < slots_.size(); ++v)
     slots_[v].restore_state(snap[v]);
-}
-
-std::vector<Packet> FleetResult::egress_in_order() const {
-  std::size_t total = 0;
-  for (const ShardResult& s : shards) total += s.egress.size();
-  std::vector<Packet> merged(total);
-  for (const ShardResult& s : shards)
-    for (std::size_t i = 0; i < s.egress.size(); ++i)
-      merged[s.source_index[i]] = s.egress[i];
-  return merged;
-}
-
-Fleet::Fleet(const Machine& prototype, FleetConfig config)
-    : config_(std::move(config)),
-      core_(prototype, config_.num_shards, config_.num_shards,
-            config_.batch_size, config_.flow_key, config_.batch_dispatch),
-      buffers_(core_.num_shards()) {
-  config_.num_shards = core_.num_shards();
-}
-
-FleetResult Fleet::run(const std::vector<Packet>& trace) {
-  const std::size_t n = core_.num_shards();
-  FleetResult result;
-  result.shards.resize(n);
-  result.packets = trace.size();
-
-  // Stable partition into buffers that keep their capacity across calls:
-  // within a shard, packets keep arrival order.
-  for (ShardBuffers& b : buffers_) {
-    b.pkts.clear();
-    b.slots.clear();
-  }
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const std::size_t slot = core_.slot_of(trace[i]);
-    const std::size_t s = slot % n;
-    buffers_[s].pkts.push_back(trace[i]);
-    buffers_[s].slots.push_back(slot);
-    result.shards[s].source_index.push_back(i);
-  }
-
-  auto drain_shard = [&](std::size_t s) {
-    ShardBuffers& b = buffers_[s];
-    ShardResult& sh = result.shards[s];
-    const BatchStats before = core_.shard_stats(s);
-    sh.egress.resize(b.pkts.size());
-    core_.drain(s, b.slots.data(), b.pkts.data(), b.pkts.size(),
-                sh.egress.data());
-    const BatchStats after = core_.shard_stats(s);
-    sh.stats.batches = after.batches - before.batches;
-    sh.stats.packets = after.packets - before.packets;
-  };
-
-  if (config_.parallel && n > 1) {
-    std::vector<std::thread> workers;
-    workers.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) workers.emplace_back(drain_shard, s);
-    for (std::thread& w : workers) w.join();
-  } else {
-    for (std::size_t s = 0; s < n; ++s) drain_shard(s);
-  }
-  return result;
 }
 
 }  // namespace banzai

@@ -1,17 +1,21 @@
-// Flow-hash sharded execution of one compiled Banzai program, in two forms:
+// Flow-hash sharded execution of one compiled Banzai program: ShardCore, the
+// partition/drain engine every batch runtime shares (FleetService's shard
+// workers, the distributed WorkerServer, NetFabric's multi-pipeline nodes).
+// One compiled program is cloned into `num_slots` replicas ("slots", the
+// virtual shards of consistent hashing); a packet's flow key hashes to a
+// slot, and slots are dealt round-robin onto `num_shards` workers
+// (shard = slot % num_shards).  Because a slot carries its entire
+// StateStore, per-flow state can later be migrated to a different worker
+// count by moving whole slots — the mechanism behind FleetService's
+// snapshot → reshard → restore cycle.
 //
-//   * ShardCore — the partition/drain engine both execution paths share.  One
-//     compiled program is cloned into `num_slots` replicas ("slots", the
-//     virtual shards of consistent hashing); a packet's flow key hashes to a
-//     slot, and slots are dealt round-robin onto `num_shards` workers
-//     (shard = slot % num_shards).  Because a slot carries its entire
-//     StateStore, per-flow state can later be migrated to a different worker
-//     count by moving whole slots — the mechanism behind FleetService's
-//     snapshot → reshard → restore cycle.
-//   * Fleet — the offline wrapper from PR 1: partition a whole trace, drain
-//     every shard (optionally on worker threads), return.  It configures the
-//     core with num_slots == num_shards, which reproduces the original
-//     one-replica-per-shard behaviour bit for bit.
+// Each slot's packets run through Machine::run_batch, the machine's one
+// batch entry, as row-major batches of at most `batch_size` packets.  The
+// machine executes a batch stage-major (every packet through stage s before
+// stage s+1), which is observationally identical to packet-major order
+// because every state variable is local to exactly one atom in one stage
+// (§2.3's locality discipline); tests/batch_test.cc proves it against
+// PipelineSim and sequential Machine::process on the whole corpus.
 //
 // What sharding preserves and what it gives up: flows that never share state
 // cells behave identically to a single machine.  Flows on different slots no
@@ -24,29 +28,25 @@
 #include <cstdint>
 #include <vector>
 
-#include "banzai/batch.h"
 #include "banzai/machine.h"
 #include "banzai/packet.h"
 
 namespace banzai {
 
 // The partition/drain core.  Thread-safety contract: calls for different
-// shards may run concurrently (a shard's slots, BatchSims and scratch buffers
-// are touched by no other shard because slot % num_shards is a partition);
+// shards may run concurrently (a shard's slots and scratch buffers are
+// touched by no other shard because slot % num_shards is a partition);
 // calls for the same shard must be serialized by the caller.
 class ShardCore {
  public:
   ShardCore(const Machine& prototype, std::size_t num_slots,
             std::size_t num_shards, std::size_t batch_size,
-            std::vector<FieldId> flow_key,
-            BatchDispatch dispatch = BatchDispatch::kAuto);
-  // Machines are copyable, but sims_ binds Machine& into this core's slots_:
-  // a copy would silently execute against the source's state.
-  ShardCore(const ShardCore&) = delete;
-  ShardCore& operator=(const ShardCore&) = delete;
+            std::vector<FieldId> flow_key);
 
   std::size_t num_slots() const { return slots_.size(); }
   std::size_t num_shards() const { return num_shards_; }
+  // Packets per Machine::run_batch call; a batch_size of 0 is clamped to 1.
+  std::size_t batch_size() const { return batch_size_; }
 
   // Chained SplitMix64 over the flow-key fields: the one flow-hash definition
   // repo-wide (see sim/partition.h for the single-key form).
@@ -59,14 +59,13 @@ class ShardCore {
   Machine& slot_machine(std::size_t slot) { return slots_[slot]; }
   const Machine& slot_machine(std::size_t slot) const { return slots_[slot]; }
 
-  // Cumulative batch statistics summed over the shard's slots.
-  BatchStats shard_stats(std::size_t shard) const;
-
   // Drains n packets belonging to `shard` through their slot replicas,
   // preserving arrival order per slot, and writes the processed packet for
   // pkts[i] into out[i].  slot_ids[i] must equal slot_of(pkts[i]) and map to
   // `shard`; pkts are consumed (moved from).  Grouping the batch by slot is
   // legal because slots share no state: the per-slot sub-batches commute.
+  // Steady-state calls allocate nothing: each slot's packets move into the
+  // shard's reused row scratch, run there in place, and move out to `out`.
   void drain(std::size_t shard, const std::size_t* slot_ids, Packet* pkts,
              std::size_t n, Packet* out);
 
@@ -85,70 +84,15 @@ class ShardCore {
 
  private:
   std::size_t num_shards_;
+  std::size_t batch_size_;
   std::vector<FieldId> flow_key_;
-  std::vector<Machine> slots_;   // one replica per slot
-  std::vector<BatchSim> sims_;   // one per slot, bound to slots_[i]
+  std::vector<Machine> slots_;  // one replica per slot
   struct Scratch {
     std::vector<std::vector<std::size_t>> idx;  // per slot: batch positions
     std::vector<std::size_t> touched;           // slots seen this drain
+    std::vector<Packet> rows;                   // one slot's group, in place
   };
   std::vector<Scratch> scratch_;  // one per shard, reused across drains
-};
-
-struct FleetConfig {
-  std::size_t num_shards = 1;
-  std::size_t batch_size = 256;
-  bool parallel = true;  // run shards on worker threads
-  // Batch shape each slot's BatchSim hands to Machine::run_batch (see
-  // banzai/batch.h): kAuto keeps row-major ingress row-major.
-  BatchDispatch batch_dispatch = BatchDispatch::kAuto;
-  // Packet fields hashed together to pick a shard: the flow key.  Must be
-  // non-empty unless num_shards == 1.
-  std::vector<FieldId> flow_key;
-};
-
-struct ShardResult {
-  std::vector<Packet> egress;             // in shard-arrival order
-  std::vector<std::size_t> source_index;  // original trace index per packet
-  BatchStats stats;
-};
-
-struct FleetResult {
-  std::vector<ShardResult> shards;
-  std::uint64_t packets = 0;
-
-  // Egress merged back into the original trace order.
-  std::vector<Packet> egress_in_order() const;
-};
-
-class Fleet {
- public:
-  Fleet(const Machine& prototype, FleetConfig config);
-
-  std::size_t num_shards() const { return core_.num_shards(); }
-  Machine& shard_machine(std::size_t s) { return core_.slot_machine(s); }
-  const Machine& shard_machine(std::size_t s) const {
-    return core_.slot_machine(s);
-  }
-  const FleetConfig& config() const { return config_; }
-
-  // The shard that serves this packet's flow.
-  std::size_t shard_of(const Packet& pkt) const { return core_.shard_of(pkt); }
-
-  // Partitions the trace by flow hash and drains every shard; shards run
-  // concurrently when config.parallel is set.  Replica state persists across
-  // calls, like a switch staying up across traffic; partition buffers and the
-  // core's batch scratch persist too, so steady-state calls do not reallocate.
-  FleetResult run(const std::vector<Packet>& trace);
-
- private:
-  FleetConfig config_;
-  ShardCore core_;
-  struct ShardBuffers {
-    std::vector<Packet> pkts;
-    std::vector<std::size_t> slots;
-  };
-  std::vector<ShardBuffers> buffers_;  // reused across run() calls
 };
 
 }  // namespace banzai

@@ -250,73 +250,7 @@ std::uint32_t CompiledPipeline::intern_state(const std::string& name) {
 void CompiledPipeline::seal(std::size_t num_fields) {
   num_fields_ = num_fields;
   verify_in_place_safe();
-  compute_liveness();
   sealed_ = true;
-}
-
-// One program-order scan suffices because every store in this ISA executes
-// unconditionally (kSelect selects values, stateful templates select update
-// arms — no op ever skips its write): a field first touched by a write can
-// never observe its pre-program value, and a field no op stores to can never
-// change.  Stage boundaries are irrelevant here — within a stage reads see
-// stage-entry values, but verify_in_place_safe has already rejected
-// intra-stage read-after-write, so program order and stage order agree.
-void CompiledPipeline::compute_liveness() {
-  enum : std::uint8_t { kUntouched, kLiveIn, kDefinedFirst };
-  std::vector<std::uint8_t> cls(num_fields_, kUntouched);
-  auto read = [&](std::uint32_t f) {
-    if (cls[f] == kUntouched) cls[f] = kLiveIn;
-  };
-  auto read_src = [&](const KSrc& s) {
-    if (!s.is_const) read(s.field);
-  };
-  auto read_ref = [&](const KRef& r) {
-    if (r.kind == KRef::Kind::kField) read(r.field);
-  };
-  std::vector<bool> written(num_fields_, false);
-  auto write = [&](std::uint32_t f) {
-    if (cls[f] == kUntouched) cls[f] = kDefinedFirst;
-    written[f] = true;
-  };
-  for (const MicroOp& op : ops_) {
-    switch (op.code) {
-      case KOp::kIntrinsic: {
-        const IntrinsicOp& io = intrinsics_[op.aux];
-        for (std::size_t i = 0; i < io.num_args; ++i) read_src(io.args[i]);
-        write(op.dst);
-        break;
-      }
-      case KOp::kStateful: {
-        const StatefulOp& so = stateful_[op.aux];
-        for (std::size_t k = 0; k < so.num_states; ++k)
-          if (so.slots[k].is_array) read(so.slots[k].index_field);
-        for (const KPred& pr : so.preds) {
-          read_ref(pr.a);
-          read_ref(pr.b);
-        }
-        for (const auto& leaf : so.arms)
-          for (const KArmOp& arm : leaf) {
-            read_ref(arm.src1);
-            read_ref(arm.src2);
-          }
-        for (std::uint32_t l = so.liveout_begin; l < so.liveout_end; ++l)
-          write(liveouts_[l].dst);
-        break;
-      }
-      default:
-        read_src(op.a);
-        read_src(op.b);
-        read_src(op.c);
-        write(op.dst);
-        break;
-    }
-  }
-  live_in_fields_.clear();
-  written_fields_.clear();
-  for (std::uint32_t f = 0; f < num_fields_; ++f) {
-    if (cls[f] == kLiveIn) live_in_fields_.push_back(f);
-    if (written[f]) written_fields_.push_back(f);
-  }
 }
 
 // In-place execution is only equivalent to the closure engine's

@@ -37,7 +37,7 @@
 // Op-major batching (all packets through op k, then op k+1) additionally
 // relies on every state variable being local to exactly one atom (§2.3), so
 // per-atom state sequences see packets in arrival order — the same argument
-// that makes BatchSim's stage-major order legal.
+// that makes ShardCore's stage-major batches legal.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +57,8 @@ namespace banzai {
 
 class StageCounters;  // banzai/stats.h — per-stage observability accumulators
 
-// Which execution path a Machine uses for process()/BatchSim and everything
-// layered on them (ShardCore, Fleet, FleetService, NetFabric nodes).
+// Which execution path a Machine uses for process()/run_batch and everything
+// layered on them (ShardCore, FleetService, NetFabric nodes).
 //   kClosure — walk the per-atom std::function closures: the reference
 //              semantics, always available.
 //   kKernel  — run the lowered micro-op program; falls back to closures on
@@ -292,19 +292,6 @@ class CompiledPipeline {
   std::size_t num_stages() const { return stages_.size(); }
   std::size_t num_state_vars() const { return state_names_.size(); }
   std::size_t num_fields() const { return num_fields_; }
-  // Transpose liveness sets, computed at seal() (sorted by FieldId).  Every
-  // write in this ISA is unconditional (conditionals are kSelect values and
-  // stateful update arms, never skipped stores), so a single program-order
-  // scan is exact: live_in_fields() is every field read before its first
-  // write — the only columns a gather must populate — and written_fields()
-  // is every field some op stores to — the only columns a scatter must copy
-  // back.  ColumnBatch::gather_fields/scatter_fields consume these.
-  const std::vector<std::uint32_t>& live_in_fields() const {
-    return live_in_fields_;
-  }
-  const std::vector<std::uint32_t>& written_fields() const {
-    return written_fields_;
-  }
   const std::vector<std::string>& state_names() const { return state_names_; }
   // The raw program, for the disassembler (str()), the C++ emitter
   // (core/emit.*) and the native loader's fn-pointer tables
@@ -325,7 +312,6 @@ class CompiledPipeline {
  private:
   void require_open_stage() const;
   void verify_in_place_safe() const;
-  void compute_liveness();
   // The op-major execution core: ops [first, last) over `n` packets.
   void run_ops_bound(std::uint32_t first, std::uint32_t last, Packet* pkts,
                      std::size_t n, StateVar* const* vars) const;
@@ -339,8 +325,6 @@ class CompiledPipeline {
   std::vector<IntrinsicOp> intrinsics_;
   std::vector<KLiveOut> liveouts_;
   std::vector<std::string> state_names_;
-  std::vector<std::uint32_t> live_in_fields_;  // read before first write
-  std::vector<std::uint32_t> written_fields_;  // stored to by some op
   std::unordered_map<std::string, std::uint32_t> state_index_;
   std::size_t num_fields_ = 0;
   bool sealed_ = false;

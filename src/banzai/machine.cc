@@ -115,11 +115,11 @@ void Machine::run_batch(BatchView batch) {
   run_closure_rows(batch.row_data(), n);
 }
 
-// Stage-major over the whole batch (the order BatchSim pioneered — legal by
-// §2.3 state locality, see banzai/batch.h): stage 0 reads the callers'
-// packets into cur_, later stages ping-pong between the two reusable
-// buffers, and the final stage's output moves back into the caller's
-// storage, keeping run_batch's in-place contract.
+// Stage-major over the whole batch (legal by §2.3 state locality, see
+// banzai/fleet.h): stage 0 reads the callers' packets into cur_, later
+// stages ping-pong between the two reusable buffers, and the final stage's
+// output moves back into the caller's storage, keeping run_batch's in-place
+// contract.
 void Machine::run_closure_rows(Packet* pkts, std::size_t n) {
   if (stages_.empty()) return;
   if (cur_.size() < n) cur_.resize(n);

@@ -37,8 +37,8 @@ struct MachineSpec {
 struct Stage {
   std::vector<ConfiguredAtom> atoms;
 
-  // The stage-execution core shared by every engine (Machine::process, the
-  // cycle-accurate PipelineSim, the batched BatchSim): all atoms observe the
+  // The stage-execution core shared by every engine (Machine::run_batch and
+  // the cycle-accurate PipelineSim): all atoms observe the
   // packet as it entered the stage (`in`) and apply their writes to `out`.
   // `out` is assigned from `in` first, so callers can reuse its storage
   // across invocations without reallocating.
@@ -193,7 +193,7 @@ class Machine {
 
   // Runs one packet through all stages back-to-back (functionally equivalent
   // to the pipelined execution; see PipelineSim for the cycle-accurate form
-  // and BatchSim for the batched throughput engine) on whichever engine
+  // and run_batch for the batched throughput engine) on whichever engine
   // active_engine() resolves to.
   Packet process(Packet pkt) {
     run_batch(BatchView::rows(&pkt, 1));
@@ -241,9 +241,9 @@ class Machine {
   // An independent replica of this machine: same pipeline configuration, its
   // own StateStore snapshot.  Atom closures capture their configuration by
   // value and reach state only through the StateStore& they are handed at
-  // execution time, so replicas never share mutable state — this is what the
-  // Fleet relies on to scale one compiled program across shards.  The lowered
-  // kernel and the native pipeline, immutable after sealing/loading and
+  // execution time, so replicas never share mutable state — this is what
+  // ShardCore relies on to scale one compiled program across slots.  The
+  // lowered kernel and the native pipeline, immutable after sealing/loading and
   // stateless at execution time, are shared between replicas rather than
   // copied.  The copied StateStore takes a fresh generation, so the replica's
   // binding cache can never dereference pointers into the source's store.

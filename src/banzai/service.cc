@@ -15,7 +15,7 @@ constexpr int kSpinsBeforeNap = 64;
 FleetService::FleetService(const Machine& prototype, ServiceConfig config)
     : config_(std::move(config)),
       core_(prototype, config_.num_slots, config_.num_shards,
-            config_.batch_size, config_.flow_key, config_.batch_dispatch) {
+            config_.batch_size, config_.flow_key) {
   config_.num_shards = core_.num_shards();
   config_.num_slots = core_.num_slots();
   shards_.reserve(core_.num_shards());

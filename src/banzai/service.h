@@ -1,9 +1,8 @@
 // FleetService: the always-on streaming form of the sharded engine.
 //
 // The paper's Banzai machine models a switch that never stops — packets
-// arrive continuously and per-flow state persists indefinitely.  Fleet::run
-// (the offline path) partitions a finished trace; FleetService instead keeps
-// the same ShardCore hot behind a live ingest path:
+// arrive continuously and per-flow state persists indefinitely.  FleetService
+// keeps a ShardCore (banzai/fleet.h) hot behind a live ingest path:
 //
 //   ingest thread ──hash──► per-shard SpscRing ──► shard worker ──► ShardCore
 //        │                                              │
@@ -60,9 +59,6 @@ struct ServiceConfig {
   std::size_t batch_size = 256;
   std::size_t ring_capacity = 1024;  // per shard, rounded up to a power of two
   Backpressure backpressure = Backpressure::kBlock;
-  // Batch shape each slot's BatchSim hands to Machine::run_batch (see
-  // banzai/batch.h): kAuto keeps row-major ingress row-major.
-  BatchDispatch batch_dispatch = BatchDispatch::kAuto;
   // Packet fields hashed together to pick a slot (and thus a shard).  Must be
   // non-empty unless num_slots == 1.
   std::vector<FieldId> flow_key;

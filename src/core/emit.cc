@@ -456,10 +456,9 @@ void emit_stateful_rows(std::ostringstream& os, const CompiledPipeline& prog,
 // loop fission only forces values back through memory.  A pipeline with no
 // stateful ops still auto-vectorizes whole, inlined hashes included.
 //
-// The read scan below must over-approximate exactly like
-// CompiledPipeline::compute_liveness (all predicates, all arms): any column
-// preloaded here that is not written earlier in the program is then in
-// live_in_fields(), so BatchSim's liveness-guided gather populated it.
+// The read scan below over-approximates (all predicates, all arms): a
+// column preloaded here may go unused on some packets, which is harmless
+// because a columnar batch carries every field (ColumnBatch::gather).
 // `begin`/`end` bound the emitted op range: the whole program in the default
 // emission, one StageRange per call in the counted emission (stage fission
 // is legal by the same §2.3 state-locality argument as stage-major batching;
@@ -606,7 +605,7 @@ void emit_counter_update(std::ostringstream& os, std::size_t si,
 }
 
 // Counted row body: stage-major (all packets through stage s, then s+1 — the
-// BatchSim order, legal by §2.3 state locality) so one clock read brackets
+// Machine::run_batch order, legal by §2.3 state locality) so one clock read brackets
 // the whole batch per stage instead of every packet paying two.
 void emit_rows_body_counted(std::ostringstream& os,
                             const CompiledPipeline& prog) {

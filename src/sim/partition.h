@@ -1,5 +1,5 @@
 // Flow-hash sharding: the one place the shard-selection hash lives, shared by
-// the trace-level partitioner here and the packet-level banzai::Fleet.
+// the trace-level partitioner here and the packet-level banzai::ShardCore.
 //
 // Partitioning is by flow so that all packets of a flow land on the same
 // shard, preserving per-flow state consistency (each shard's StateStore sees

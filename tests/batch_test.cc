@@ -1,20 +1,22 @@
-// Differential proof for the batched throughput engine: BatchSim's
-// stage-major execution is observationally identical to the cycle-accurate
-// PipelineSim and to sequential Machine::process — every egress field of
-// every packet and the full final StateStore — on every mappable algorithm in
-// the corpus, across batch sizes including ones that straddle the trace
-// length, and across both batch shapes (row-major and the columnar
-// ColumnBatch currency of banzai/column.h).
+// Differential proof for the batched throughput path: Machine::run_batch's
+// stage-major execution — over row-major packets, over a full-width
+// ColumnBatch transpose, and through ShardCore::drain's chunked per-slot
+// batches — is observationally identical to the cycle-accurate PipelineSim
+// and to sequential Machine::process — every egress field of every packet
+// and the full final StateStore — on every mappable algorithm in the corpus,
+// across batch sizes including ones that straddle the trace length.
 #include <gtest/gtest.h>
 
-#include "banzai/batch.h"
+#include <algorithm>
+
 #include "banzai/column.h"
+#include "banzai/fleet.h"
 #include "test_util.h"
 
 namespace {
 
 using algorithms::AlgorithmInfo;
-using banzai::BatchDispatch;
+using banzai::BatchView;
 using banzai::ColumnBatch;
 using banzai::Packet;
 
@@ -36,19 +38,34 @@ std::vector<Packet> make_workload(const AlgorithmInfo& alg,
   return trace;
 }
 
-const char* dispatch_name(BatchDispatch d) {
-  switch (d) {
-    case BatchDispatch::kAuto: return "auto";
-    case BatchDispatch::kRows: return "rows";
-    case BatchDispatch::kColumnar: return "cols";
+domino::CompileResult compile_least(const AlgorithmInfo& alg) {
+  auto target = test_util::least_target(alg.source);
+  if (!target.has_value())
+    throw std::runtime_error(alg.name + ": no paper target accepts it");
+  return domino::compile(alg.source, *target);
+}
+
+// Runs pkts through m in run_batch calls of at most `batch` packets, either
+// in place as rows or through a full-width ColumnBatch round trip.
+void run_rows(banzai::Machine& m, std::vector<Packet>& pkts,
+              std::size_t batch) {
+  for (std::size_t i = 0; i < pkts.size(); i += batch)
+    m.run_batch(BatchView::rows(&pkts[i], std::min(batch, pkts.size() - i)));
+}
+void run_columns(banzai::Machine& m, std::vector<Packet>& pkts,
+                 std::size_t batch) {
+  ColumnBatch cols;
+  for (std::size_t i = 0; i < pkts.size(); i += batch) {
+    cols.gather(&pkts[i], std::min(batch, pkts.size() - i),
+                m.fields().size());
+    m.run_batch(BatchView::columns(cols));
+    cols.scatter(&pkts[i]);
   }
-  return "?";
 }
 
 struct BatchCase {
   std::string algorithm;
   std::size_t batch_size;
-  BatchDispatch dispatch;
 };
 
 class BatchEquivalenceTest : public ::testing::TestWithParam<BatchCase> {};
@@ -56,15 +73,14 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<BatchCase> {};
 TEST_P(BatchEquivalenceTest, BatchMatchesPipelineAndSequential) {
   const auto& tc = GetParam();
   const AlgorithmInfo& alg = algorithms::algorithm(tc.algorithm);
-  auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-  domino::CompileResult compiled = domino::compile(alg.source, *target);
+  domino::CompileResult compiled = compile_least(alg);
 
-  // Three independent replicas of the compiled machine, one per engine.
+  // Independent replicas of the compiled machine, one per execution path.
   const banzai::StateStore pristine_state = compiled.machine().state();
   banzai::Machine seq_machine = compiled.machine().clone();
   banzai::Machine pipe_machine = compiled.machine().clone();
-  banzai::Machine batch_machine = compiled.machine().clone();
+  banzai::Machine rows_machine = compiled.machine().clone();
+  banzai::Machine cols_machine = compiled.machine().clone();
 
   const int kPackets = 1500;
   const auto trace = make_workload(alg, compiled.machine(), kPackets, 77u);
@@ -77,26 +93,33 @@ TEST_P(BatchEquivalenceTest, BatchMatchesPipelineAndSequential) {
   for (const Packet& p : trace) pipe.enqueue(p);
   pipe.drain();
 
-  banzai::BatchSim batch(batch_machine, tc.batch_size, tc.dispatch);
-  std::vector<Packet> batch_in = trace;
-  batch.enqueue(std::move(batch_in));
-  batch.run();
+  std::vector<Packet> rows_out = trace;
+  run_rows(rows_machine, rows_out, tc.batch_size);
+  std::vector<Packet> cols_out = trace;
+  run_columns(cols_machine, cols_out, tc.batch_size);
+
+  // One slot, one shard: the whole trace is a single slot group, which the
+  // drain runs in ceil(n / batch_size) chunks.
+  banzai::ShardCore core(compiled.machine(), 1, 1, tc.batch_size, {});
+  std::vector<Packet> core_in = trace;
+  std::vector<Packet> core_out(trace.size());
+  const std::vector<std::size_t> slots(trace.size(), 0);
+  core.drain(0, slots.data(), core_in.data(), core_in.size(),
+             core_out.data());
 
   ASSERT_EQ(pipe.egress().size(), trace.size());
-  const std::vector<Packet> batch_out = batch.take_egress();
-  ASSERT_EQ(batch_out.size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(batch_out[i], seq_out[i]) << "packet " << i;
-    ASSERT_EQ(batch_out[i], pipe.egress()[i]) << "packet " << i;
+    ASSERT_EQ(pipe.egress()[i], seq_out[i]) << "pipeline, packet " << i;
+    ASSERT_EQ(rows_out[i], seq_out[i]) << "rows, packet " << i;
+    ASSERT_EQ(cols_out[i], seq_out[i]) << "columns, packet " << i;
+    ASSERT_EQ(core_out[i], seq_out[i]) << "ShardCore, packet " << i;
   }
-  EXPECT_EQ(batch_machine.state(), seq_machine.state());
-  EXPECT_EQ(batch_machine.state(), pipe_machine.state());
-  // A forced-columnar run actually took the columnar path for every batch.
-  if (tc.dispatch == BatchDispatch::kColumnar) {
-    EXPECT_EQ(batch.stats().columnar_batches, batch.stats().batches);
-  }
-  // Replicas have independent StateStores: running all three engines must
-  // leave the prototype machine's state untouched.
+  EXPECT_EQ(pipe_machine.state(), seq_machine.state());
+  EXPECT_EQ(rows_machine.state(), seq_machine.state());
+  EXPECT_EQ(cols_machine.state(), seq_machine.state());
+  EXPECT_EQ(core.slot_machine(0).state(), seq_machine.state());
+  // Replicas have independent StateStores: running every path must leave
+  // the prototype machine's state untouched.
   EXPECT_EQ(compiled.machine().state(), pristine_state);
 }
 
@@ -104,10 +127,9 @@ std::vector<BatchCase> all_cases() {
   std::vector<BatchCase> cases;
   for (const auto& alg : algorithms::corpus()) {
     if (alg.paper_least_atom == "Doesn't map") continue;
-    // 1 = degenerate batches; 64 = interior; 377 leaves a ragged tail batch.
-    for (std::size_t bs : {std::size_t{1}, std::size_t{64}, std::size_t{377}})
-      for (BatchDispatch d : {BatchDispatch::kRows, BatchDispatch::kColumnar})
-        cases.push_back({alg.name, bs, d});
+    // 1 = degenerate batches; 7 leaves a ragged tail; 256 = the default.
+    for (std::size_t bs : {std::size_t{1}, std::size_t{7}, std::size_t{256}})
+      cases.push_back({alg.name, bs});
   }
   return cases;
 }
@@ -116,8 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
     Corpus, BatchEquivalenceTest, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<BatchCase>& info) {
       return info.param.algorithm + "_bs" +
-             std::to_string(info.param.batch_size) + "_" +
-             dispatch_name(info.param.dispatch);
+             std::to_string(info.param.batch_size);
     });
 
 TEST(ColumnBatchTest, GatherScatterRoundTripsAndPreservesExtraFields) {
@@ -172,126 +193,104 @@ TEST(ColumnBatchTest, ReshapeReusesCapacityAcrossBatches) {
   EXPECT_EQ(cb.capacity(), 256u);
 }
 
-TEST(BatchSimTest, StatsCountBatchesAndPackets) {
+TEST(RunBatchTest, SnapshotRestoreMidStreamOnColumnarBatches) {
+  // The reshard cycle of FleetService, exercised through the columnar batch
+  // entry: run half as columns, snapshot, keep running, restore, run the
+  // rest — must match a sequential machine driven identically.
   const AlgorithmInfo& alg = algorithms::algorithm("flowlets");
-  auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-  domino::CompileResult compiled = domino::compile(alg.source, *target);
-
-  banzai::BatchSim sim(compiled.machine(), 100);
-  const auto trace = make_workload(alg, compiled.machine(), 250, 3u);
-  for (const Packet& p : trace) sim.enqueue(p);
-  sim.run();
-  EXPECT_EQ(sim.stats().packets, 250u);
-  EXPECT_EQ(sim.stats().batches, 3u);  // 100 + 100 + 50
-  // kAuto keeps row-major ingress row-major (see batch.h): no transposes.
-  EXPECT_EQ(sim.stats().columnar_batches, 0u);
-  EXPECT_EQ(sim.egress().size(), 250u);
-}
-
-TEST(BatchSimTest, DispatchKnobControlsColumnarBatches) {
-  const AlgorithmInfo& alg = algorithms::algorithm("flowlets");
-  auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-  domino::CompileResult compiled = domino::compile(alg.source, *target);
-  const auto trace = make_workload(alg, compiled.machine(), 40, 9u);
-
-  // kAuto never transposes: BatchSim ingress is row-major, and the
-  // measured transpose cost exceeds the column-loop win on corpus-scale
-  // pipelines (EXPERIMENTS.md, "Batch shape").
-  banzai::Machine autod = compiled.machine().clone();
-  banzai::BatchSim asim(autod, 16);
-  asim.enqueue(std::vector<Packet>(trace));
-  asim.run();
-  EXPECT_EQ(asim.stats().columnar_batches, 0u);
-
-  // kColumnar is the explicit opt-in: every batch transposes.
-  banzai::Machine kernel = compiled.machine().clone();
-  banzai::BatchSim ksim(kernel, 16, banzai::BatchDispatch::kColumnar);
-  ksim.enqueue(std::vector<Packet>(trace));
-  ksim.run();
-  EXPECT_EQ(ksim.stats().columnar_batches, ksim.stats().batches);
-  EXPECT_GT(ksim.stats().columnar_batches, 0u);
-}
-
-TEST(BatchSimTest, EnqueueMovesWholeTracesAndAppends) {
-  const AlgorithmInfo& alg = algorithms::algorithm("rcp");
-  auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-  domino::CompileResult compiled = domino::compile(alg.source, *target);
-  const auto trace = make_workload(alg, compiled.machine(), 30, 5u);
-
-  // Reference: one machine fed sequentially.
-  banzai::Machine seq = compiled.machine().clone();
-  std::vector<Packet> want;
-  for (const Packet& p : trace) want.push_back(seq.process(p));
-
-  // Move-append in three chunks: a stolen vector, then two appends (the
-  // reserve+move path), preserving arrival order across chunk boundaries.
-  banzai::Machine m = compiled.machine().clone();
-  banzai::BatchSim sim(m, 8);
-  std::vector<Packet> c1(trace.begin(), trace.begin() + 10);
-  std::vector<Packet> c2(trace.begin() + 10, trace.begin() + 20);
-  sim.enqueue(std::move(c1));
-  sim.enqueue(std::move(c2));
-  for (std::size_t i = 20; i < trace.size(); ++i) sim.enqueue(trace[i]);
-  sim.run();
-
-  const std::vector<Packet> got = sim.take_egress();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_EQ(got[i], want[i]) << "packet " << i;
-  // take_egress leaves the queue empty; a second take yields nothing.
-  EXPECT_TRUE(sim.egress().empty());
-  EXPECT_TRUE(sim.take_egress().empty());
-  EXPECT_EQ(m.state(), seq.state());
-}
-
-TEST(BatchSimTest, SnapshotRestoreMidStreamUnderColumnarDispatch) {
-  // The reshard cycle of FleetService, exercised through the columnar
-  // dispatch path: drain half columnar, snapshot, keep draining, restore,
-  // drain the rest — must match a sequential machine driven identically.
-  const AlgorithmInfo& alg = algorithms::algorithm("flowlets");
-  auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-  domino::CompileResult compiled = domino::compile(alg.source, *target);
+  domino::CompileResult compiled = compile_least(alg);
   const auto trace = make_workload(alg, compiled.machine(), 600, 41u);
   const std::size_t a = 200, b = 400;
 
   banzai::Machine ref = compiled.machine().clone();
   banzai::Machine m = compiled.machine().clone();
-  banzai::BatchSim sim(m, 64, BatchDispatch::kColumnar);
 
   std::vector<Packet> want, got;
   banzai::StateStore ref_snap, snap;
-  auto drain = [&](std::size_t from, std::size_t to) {
+  auto run = [&](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) want.push_back(ref.process(trace[i]));
-    sim.enqueue(std::vector<Packet>(trace.begin() + from, trace.begin() + to));
-    sim.run();
-    for (Packet& p : sim.take_egress()) got.push_back(std::move(p));
+    std::vector<Packet> part(trace.begin() + from, trace.begin() + to);
+    run_columns(m, part, 64);
+    for (Packet& p : part) got.push_back(std::move(p));
   };
-  drain(0, a);
+  run(0, a);
   ref_snap = ref.snapshot_state();
   snap = m.snapshot_state();
-  drain(a, b);
+  run(a, b);
   ref.restore_state(ref_snap);
   m.restore_state(snap);
-  drain(b, trace.size());
+  run(b, trace.size());
 
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     ASSERT_EQ(got[i], want[i]) << "packet " << i;
   EXPECT_EQ(m.state(), ref.state());
-  EXPECT_EQ(sim.stats().columnar_batches, sim.stats().batches);
 }
 
-TEST(BatchSimTest, ZeroBatchSizeIsClampedToOne) {
+TEST(ShardCoreBatchTest, ZeroBatchSizeIsClampedToOne) {
   const AlgorithmInfo& alg = algorithms::algorithm("rcp");
-  auto target = test_util::least_target(alg.source);
-  ASSERT_TRUE(target.has_value());
-  domino::CompileResult compiled = domino::compile(alg.source, *target);
-  banzai::BatchSim sim(compiled.machine(), 0);
-  EXPECT_EQ(sim.batch_size(), 1u);
+  domino::CompileResult compiled = compile_least(alg);
+  banzai::ShardCore core(compiled.machine(), 1, 1, 0, {});
+  EXPECT_EQ(core.batch_size(), 1u);
+
+  // And the clamped core still drains: one packet per run_batch call.
+  const auto trace = make_workload(alg, compiled.machine(), 20, 5u);
+  banzai::Machine ref = compiled.machine().clone();
+  std::vector<Packet> in = trace, out(trace.size());
+  const std::vector<std::size_t> slots(trace.size(), 0);
+  core.drain(0, slots.data(), in.data(), in.size(), out.data());
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    ASSERT_EQ(out[i], ref.process(trace[i])) << "packet " << i;
+}
+
+TEST(ShardCoreBatchTest, ChunkedDrainOfOversizedSlotGroupsMatchesSequential) {
+  // Few flows over few slots, drained in calls much larger than batch_size:
+  // every slot's group in a call spans several run_batch chunks.  Each
+  // slot's egress and final state must match one machine fed exactly that
+  // slot's packets in arrival order, bit for bit.
+  const AlgorithmInfo& alg = algorithms::algorithm("flowlets");
+  domino::CompileResult compiled = compile_least(alg);
+  const auto& ft = compiled.machine().fields();
+  const std::vector<banzai::FieldId> key = {ft.id_of("sport"),
+                                            ft.id_of("dport")};
+  const auto trace = make_workload(alg, compiled.machine(), 3000, 19u);
+
+  const std::size_t kSlots = 6, kShards = 2, kBatch = 16, kCall = 500;
+  banzai::ShardCore core(compiled.machine(), kSlots, kShards, kBatch, key);
+  std::vector<Packet> out(trace.size());
+  std::size_t largest_group = 0;
+  for (std::size_t from = 0; from < trace.size(); from += kCall) {
+    const std::size_t to = std::min(trace.size(), from + kCall);
+    for (std::size_t shard = 0; shard < kShards; ++shard) {
+      std::vector<std::size_t> pos, slots;
+      std::vector<Packet> in;
+      std::vector<std::size_t> group(kSlots, 0);
+      for (std::size_t i = from; i < to; ++i) {
+        const std::size_t slot = core.slot_of(trace[i]);
+        if (slot % kShards != shard) continue;
+        pos.push_back(i);
+        slots.push_back(slot);
+        in.push_back(trace[i]);
+        largest_group = std::max(largest_group, ++group[slot]);
+      }
+      std::vector<Packet> got(in.size());
+      core.drain(shard, slots.data(), in.data(), in.size(), got.data());
+      for (std::size_t k = 0; k < pos.size(); ++k)
+        out[pos[k]] = std::move(got[k]);
+    }
+  }
+  // The point of the fixture: some slot's group spans many chunks.
+  ASSERT_GT(largest_group, 4 * kBatch);
+
+  for (std::size_t slot = 0; slot < kSlots; ++slot) {
+    banzai::Machine ref = compiled.machine().clone();
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (core.slot_of(trace[i]) != slot) continue;
+      ASSERT_EQ(out[i], ref.process(trace[i]))
+          << "slot " << slot << ", packet " << i;
+    }
+    EXPECT_EQ(core.slot_machine(slot).state(), ref.state()) << "slot " << slot;
+  }
 }
 
 }  // namespace

@@ -767,13 +767,8 @@ struct RawWorker {
   dist::IngestBatch batch_of(
       const std::vector<std::vector<std::uint8_t>>& frames) {
     dist::IngestBatch b;
-    for (const auto& f : frames) {
-      dist::FrameRecord rec;
-      rec.seq = next_seq++;
-      rec.slot = slot_of(f);
-      rec.bytes = f;
-      b.frames.push_back(std::move(rec));
-    }
+    for (const auto& f : frames)
+      b.frames.push_back({next_seq++, slot_of(f), f});
     return b;
   }
 
@@ -901,10 +896,7 @@ TEST(DistWorkerDedupTest, RetriedRejectKeepsItsStatusAfterWatermarkAdvance) {
   runt.seq = 1;
   runt.slot = w.slot_of(valid);  // same slot: the accept advances past it
   runt.bytes = {0xD0};
-  dist::FrameRecord ok;
-  ok.seq = 2;
-  ok.slot = runt.slot;
-  ok.bytes = valid;
+  const dist::FrameRecord ok{2, runt.slot, valid};
   b.frames.push_back(runt);
   b.frames.push_back(ok);
   const auto payload = dist::encode_ingest_batch(b);
@@ -953,11 +945,7 @@ TEST(DistWorkerDedupTest, FrameWithWrongDeclaredSlotIsRejected) {
   auto send = [&](std::uint64_t seq, std::uint32_t slot,
                   const std::vector<std::uint8_t>& bytes) {
     dist::IngestBatch b;
-    dist::FrameRecord rec;
-    rec.seq = seq;
-    rec.slot = slot;
-    rec.bytes = bytes;
-    b.frames.push_back(std::move(rec));
+    b.frames.push_back({seq, slot, bytes});
     const auto resp =
         w.call(MsgType::kIngestBatch, dist::encode_ingest_batch(b));
     EXPECT_EQ(resp.type, MsgType::kIngestAck);
@@ -987,13 +975,8 @@ TEST(DistWorkerAckTest, IngestAckCarriesExactlyItsOwnFramesEgress) {
   const auto frames = w.make_frames(96, 157);
   const auto expected = w.sequential_reference(frames);
   dist::IngestBatch b;
-  for (const auto& f : frames) {
-    dist::FrameRecord rec;
-    rec.seq = w.next_seq++;
-    rec.slot = w.slot_of(f);
-    rec.bytes = f;
-    b.frames.push_back(std::move(rec));
-  }
+  for (const auto& f : frames)
+    b.frames.push_back({w.next_seq++, w.slot_of(f), f});
   const auto resp = w.call(MsgType::kIngestBatch, dist::encode_ingest_batch(b));
   ASSERT_EQ(resp.type, MsgType::kIngestAck);
   const auto ack =
@@ -1099,13 +1082,9 @@ TEST(DistWorkerWindowTest, ReconnectRedeliversEgressOfUnreadPipelinedAcks) {
   const dist::TimePoint deadline = dist::Clock::now() + dist::Millis(2000);
   for (std::size_t b = 0; b < dist::kMaxInflight; ++b) {
     dist::IngestBatch batch;
-    for (std::size_t i = 8 * b; i < 8 * (b + 1); ++i) {
-      dist::FrameRecord rec;
-      rec.seq = w.next_seq++;
-      rec.slot = w.slot_of(frames[i]);
-      rec.bytes = frames[i];
-      batch.frames.push_back(std::move(rec));
-    }
+    for (std::size_t i = 8 * b; i < 8 * (b + 1); ++i)
+      batch.frames.push_back(
+          {w.next_seq++, w.slot_of(frames[i]), frames[i]});
     w.conn.send_msg(MsgType::kIngestBatch, dist::encode_ingest_batch(batch),
                     deadline);
     // Let the shards settle each batch before the next request lands, so
@@ -1197,11 +1176,7 @@ TEST(DistRestoreGuardTest, EmptyStateBlobResetsSlotToInitialState) {
 
   // The dedup table reset too: seq 1 for the slot applies fresh.
   dist::IngestBatch b;
-  dist::FrameRecord rec;
-  rec.seq = 1;
-  rec.slot = slot;
-  rec.bytes = *frame;
-  b.frames.push_back(std::move(rec));
+  b.frames.push_back({1, slot, *frame});
   const auto r2 = w.call(MsgType::kIngestBatch, dist::encode_ingest_batch(b));
   ASSERT_EQ(r2.type, MsgType::kIngestAck);
   const auto ack =
@@ -1217,11 +1192,8 @@ TEST(DistRestoreGuardTest, ValidRestoreIsAcceptedAndApplied) {
   const auto blob = w.snapshot_blob(1);
 
   dist::RestoreReq req;
-  dist::SlotState s;
-  s.slot = 4;  // restore slot 1's state into slot 4 (same shape: same proto)
-  s.applied_seq = 0;
-  s.state = blob;
-  req.slots.push_back(std::move(s));
+  // Restore slot 1's state into slot 4 (same shape: same proto).
+  req.slots.push_back({4, 0, blob});
   const auto resp =
       w.call(MsgType::kRestoreReq, dist::encode_restore_req(req));
   EXPECT_EQ(resp.type, MsgType::kRestoreAck);

@@ -1,10 +1,12 @@
-// Differential proof for the sharded Fleet: every shard's egress and final
-// StateStore must match a single machine fed the same sub-trace, per-flow
-// results must match a single-machine run of the full trace whenever flows do
-// not alias in state, and the guarantees must hold on a Zipf-skewed trace
-// where one shard runs hot — with worker threads on and off.
+// Differential proof for sharded execution through ShardCore: every shard's
+// egress and final StateStore must match a single machine fed the same
+// sub-trace, per-flow results must match a single-machine run of the full
+// trace whenever flows do not alias in state, and the guarantees must hold on
+// a Zipf-skewed trace where one shard runs hot — with shards drained on
+// concurrent threads and serially.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -16,10 +18,9 @@
 namespace {
 
 using banzai::FieldId;
-using banzai::Fleet;
-using banzai::FleetConfig;
-using banzai::FleetResult;
 using banzai::Packet;
+using banzai::ShardCore;
+using test_util::drain_trace;
 
 struct FlowletSetup {
   domino::CompileResult compiled;
@@ -60,13 +61,10 @@ struct FlowletSetup {
     return pkts;
   }
 
-  FleetConfig fleet_config(std::size_t shards, bool parallel) const {
-    FleetConfig cfg;
-    cfg.num_shards = shards;
-    cfg.batch_size = 128;
-    cfg.parallel = parallel;
-    cfg.flow_key = {f_sport, f_dport};
-    return cfg;
+  // One slot replica per shard: slot s is shard s's machine.
+  ShardCore core(std::size_t shards) const {
+    return ShardCore(compiled.machine(), shards, shards, 128,
+                     {f_sport, f_dport});
   }
 };
 
@@ -75,23 +73,22 @@ struct FlowletSetup {
 // consistency, with no caveats.
 void expect_shards_match_single_machines(const FlowletSetup& setup,
                                          const std::vector<Packet>& trace,
-                                         Fleet& fleet,
-                                         const FleetResult& result) {
-  for (std::size_t s = 0; s < fleet.num_shards(); ++s) {
-    const auto& shard = result.shards[s];
+                                         const ShardCore& core,
+                                         const std::vector<Packet>& egress) {
+  ASSERT_EQ(egress.size(), trace.size());
+  for (std::size_t s = 0; s < core.num_shards(); ++s) {
     banzai::Machine reference = setup.compiled.machine().clone();
-    ASSERT_EQ(shard.egress.size(), shard.source_index.size());
-    for (std::size_t i = 0; i < shard.source_index.size(); ++i) {
-      Packet expected = reference.process(trace[shard.source_index[i]]);
-      ASSERT_EQ(shard.egress[i], expected)
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (core.shard_of(trace[i]) != s) continue;
+      ASSERT_EQ(egress[i], reference.process(trace[i]))
           << "shard " << s << ", packet " << i;
     }
-    EXPECT_EQ(fleet.shard_machine(s).state(), reference.state())
+    EXPECT_EQ(core.slot_machine(s).state(), reference.state())
         << "shard " << s;
   }
 }
 
-TEST(FleetTest, ShardsMatchSingleMachineSubTraces) {
+TEST(ShardCoreTest, ShardsMatchSingleMachineSubTraces) {
   FlowletSetup setup;
   netsim::FlowTraceConfig cfg;
   cfg.num_packets = 4000;
@@ -100,13 +97,12 @@ TEST(FleetTest, ShardsMatchSingleMachineSubTraces) {
   cfg.seed = 11;
   const auto trace = setup.to_packets(netsim::generate_flow_trace(cfg));
 
-  Fleet fleet(setup.compiled.machine(), setup.fleet_config(4, true));
-  FleetResult result = fleet.run(trace);
-  EXPECT_EQ(result.packets, trace.size());
-  expect_shards_match_single_machines(setup, trace, fleet, result);
+  ShardCore core = setup.core(4);
+  const auto egress = drain_trace(core, trace, /*parallel=*/true);
+  expect_shards_match_single_machines(setup, trace, core, egress);
 }
 
-TEST(FleetTest, MatchesFullTraceSingleMachineWhenFlowsDoNotAlias) {
+TEST(ShardCoreTest, MatchesFullTraceSingleMachineWhenFlowsDoNotAlias) {
   FlowletSetup setup;
   netsim::FlowTraceConfig cfg;
   cfg.num_packets = 5000;
@@ -132,15 +128,14 @@ TEST(FleetTest, MatchesFullTraceSingleMachineWhenFlowsDoNotAlias) {
   for (const auto& [id, flows] : id_to_flows)
     ASSERT_EQ(flows.size(), 1u) << "flowlet slot " << id << " is shared";
 
-  Fleet fleet(setup.compiled.machine(), setup.fleet_config(4, true));
-  FleetResult result = fleet.run(trace);
-  const auto merged = result.egress_in_order();
+  ShardCore core = setup.core(4);
+  const auto merged = drain_trace(core, trace, /*parallel=*/true);
   ASSERT_EQ(merged.size(), expected.size());
   for (std::size_t i = 0; i < merged.size(); ++i)
     ASSERT_EQ(merged[i], expected[i]) << "packet " << i;
 }
 
-TEST(FleetTest, ZipfSkewedTraceRunsOneShardHotAndStaysConsistent) {
+TEST(ShardCoreTest, ZipfSkewedTraceRunsOneShardHotAndStaysConsistent) {
   FlowletSetup setup;
   netsim::FlowTraceConfig cfg;
   cfg.num_packets = 6000;
@@ -149,20 +144,22 @@ TEST(FleetTest, ZipfSkewedTraceRunsOneShardHotAndStaysConsistent) {
   cfg.seed = 23;
   const auto trace = setup.to_packets(netsim::generate_flow_trace(cfg));
 
-  Fleet fleet(setup.compiled.machine(), setup.fleet_config(4, true));
-  FleetResult result = fleet.run(trace);
+  ShardCore core = setup.core(4);
+  const auto egress = drain_trace(core, trace, /*parallel=*/true);
 
-  std::size_t hottest = 0, coldest = trace.size();
-  for (const auto& shard : result.shards) {
-    hottest = std::max(hottest, shard.egress.size());
-    coldest = std::min(coldest, shard.egress.size());
-  }
+  std::vector<std::size_t> load(core.num_shards(), 0);
+  for (const Packet& p : trace) ++load[core.shard_of(p)];
+  const std::size_t hottest = *std::max_element(load.begin(), load.end());
+  const std::size_t coldest = *std::min_element(load.begin(), load.end());
   // The point of the skewed fixture: load is genuinely imbalanced.
   EXPECT_GE(hottest, 2 * coldest);
-  expect_shards_match_single_machines(setup, trace, fleet, result);
+  expect_shards_match_single_machines(setup, trace, core, egress);
 }
 
-TEST(FleetTest, ParallelAndSerialExecutionAgree) {
+TEST(ShardCoreTest, ConcurrentAndSerialShardDrainsAgree) {
+  // The thread-safety contract: drains of distinct shards may run at once.
+  // Threads draining the four shards concurrently must produce exactly the
+  // serial run's egress and per-shard state (TSan covers the races).
   FlowletSetup setup;
   netsim::FlowTraceConfig cfg;
   cfg.num_packets = 3000;
@@ -170,20 +167,18 @@ TEST(FleetTest, ParallelAndSerialExecutionAgree) {
   cfg.seed = 9;
   const auto trace = setup.to_packets(netsim::generate_flow_trace(cfg));
 
-  Fleet threaded(setup.compiled.machine(), setup.fleet_config(4, true));
-  Fleet serial(setup.compiled.machine(), setup.fleet_config(4, false));
-  FleetResult a = threaded.run(trace);
-  FleetResult b = serial.run(trace);
+  ShardCore threaded = setup.core(4);
+  ShardCore serial = setup.core(4);
+  const auto a = drain_trace(threaded, trace, /*parallel=*/true);
+  const auto b = drain_trace(serial, trace, /*parallel=*/false);
 
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    EXPECT_EQ(a.shards[s].egress, b.shards[s].egress) << "shard " << s;
-    EXPECT_EQ(threaded.shard_machine(s).state(), serial.shard_machine(s).state())
+  EXPECT_EQ(a, b);
+  for (std::size_t s = 0; s < 4; ++s)
+    EXPECT_EQ(threaded.slot_machine(s).state(), serial.slot_machine(s).state())
         << "shard " << s;
-  }
 }
 
-TEST(FleetTest, StatePersistsAcrossRuns) {
+TEST(ShardCoreTest, StatePersistsAcrossDrains) {
   FlowletSetup setup;
   netsim::FlowTraceConfig cfg;
   cfg.num_packets = 1000;
@@ -194,26 +189,26 @@ TEST(FleetTest, StatePersistsAcrossRuns) {
   const std::vector<Packet> first(trace.begin(), trace.begin() + half);
   const std::vector<Packet> second(trace.begin() + half, trace.end());
 
-  Fleet split_runs(setup.compiled.machine(), setup.fleet_config(3, true));
-  split_runs.run(first);
-  split_runs.run(second);
+  ShardCore split_runs = setup.core(3);
+  drain_trace(split_runs, first, /*parallel=*/true);
+  drain_trace(split_runs, second, /*parallel=*/true);
 
-  Fleet one_run(setup.compiled.machine(), setup.fleet_config(3, true));
-  one_run.run(trace);
+  ShardCore one_run = setup.core(3);
+  drain_trace(one_run, trace, /*parallel=*/true);
 
   for (std::size_t s = 0; s < 3; ++s)
-    EXPECT_EQ(split_runs.shard_machine(s).state(),
-              one_run.shard_machine(s).state())
+    EXPECT_EQ(split_runs.slot_machine(s).state(),
+              one_run.slot_machine(s).state())
         << "shard " << s;
 }
 
-TEST(FleetTest, ShardingRequiresFlowKey) {
+TEST(ShardCoreTest, ShardingRequiresFlowKey) {
   FlowletSetup setup;
-  FleetConfig cfg;
-  cfg.num_shards = 4;  // no flow_key
-  EXPECT_THROW(Fleet(setup.compiled.machine(), cfg), std::invalid_argument);
-  cfg.num_shards = 1;  // single shard needs no key
-  EXPECT_NO_THROW(Fleet(setup.compiled.machine(), cfg));
+  // Four slots but no flow_key.
+  EXPECT_THROW(ShardCore(setup.compiled.machine(), 4, 4, 128, {}),
+               std::invalid_argument);
+  // A single slot needs no key.
+  EXPECT_NO_THROW(ShardCore(setup.compiled.machine(), 1, 1, 128, {}));
 }
 
 TEST(PartitionTest, StableAndFlowConsistent) {

@@ -2,15 +2,16 @@
 // (banzai/kernel.h, banzai/native.h): for every corpus algorithm, the
 // kClosure, kKernel and kNative engines are bit-exact on every packet field
 // and every state cell, across all four runtimes — per-packet
-// Machine::process, batched BatchSim, the sharded Fleet/FleetService, and
-// NetFabric-hosted nodes — on the seeded workloads, on a full-range fuzz
-// corpus (wrap-around arithmetic, division by zero, hostile array indices),
-// across snapshot/restore between engines, and under mid-stream engine
-// flips.  The native engine participates whenever the host toolchain can
+// Machine::process, Machine::run_batch over rows and columns, the sharded
+// ShardCore/FleetService, and NetFabric-hosted nodes — on the seeded
+// workloads, on a full-range fuzz corpus (wrap-around arithmetic, division
+// by zero, hostile array indices), across snapshot/restore between engines,
+// and under mid-stream engine flips.  The native engine participates whenever the host toolchain can
 // build it (the machines record a fallback reason otherwise); the loader
 // itself is covered in tests/native_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -20,12 +21,13 @@
 #include <vector>
 
 #include "algorithms/corpus.h"
-#include "banzai/batch.h"
+#include "banzai/column.h"
 #include "banzai/fleet.h"
 #include "banzai/service.h"
 #include "core/compiler.h"
 #include "sim/netfabric.h"
 #include "sim/tracegen.h"
+#include "test_util.h"
 
 namespace {
 
@@ -145,6 +147,24 @@ void expect_packets_equal(const std::vector<Packet>& a,
     ASSERT_EQ(a[i], b[i]) << what << ": packet " << i;
 }
 
+// Runs a copy of the trace through m in Machine::run_batch calls of at most
+// `batch` packets, as row views or through a full-width ColumnBatch.
+std::vector<Packet> run_batched(Machine& m, std::vector<Packet> pkts,
+                                std::size_t batch, bool columns) {
+  banzai::ColumnBatch cols;
+  for (std::size_t i = 0; i < pkts.size(); i += batch) {
+    const std::size_t n = std::min(batch, pkts.size() - i);
+    if (!columns) {
+      m.run_batch(banzai::BatchView::rows(&pkts[i], n));
+      continue;
+    }
+    cols.gather(&pkts[i], n, m.fields().size());
+    m.run_batch(banzai::BatchView::columns(cols));
+    cols.scatter(&pkts[i]);
+  }
+  return pkts;
+}
+
 TEST(KernelLoweringTest, EveryCompilableAlgorithmCarriesASealedKernel) {
   int compiled_count = 0;
   for (const auto& alg : algorithms::corpus()) {
@@ -254,22 +274,17 @@ TEST(KernelDifferentialTest, BatchedAcrossBatchSizes) {
                               std::size_t{256}}) {
       Machine closure =
           engine_clone(compiled->machine(), ExecEngine::kClosure);
-      banzai::BatchSim ref(closure, batch);
-      ref.enqueue(trace);
-      ref.run();
+      const auto ref = run_batched(closure, trace, batch, false);
       for (ExecEngine engine : engines_of(compiled->machine())) {
         if (engine == ExecEngine::kClosure) continue;
-        for (banzai::BatchDispatch dispatch :
-             {banzai::BatchDispatch::kRows, banzai::BatchDispatch::kColumnar}) {
+        for (bool columns : {false, true}) {
           const std::string tag =
               alg.name + " [" + engine_name(engine) +
               "] batch=" + std::to_string(batch) +
-              (dispatch == banzai::BatchDispatch::kColumnar ? " cols" : " rows");
+              (columns ? " cols" : " rows");
           Machine under = engine_clone(compiled->machine(), engine);
-          banzai::BatchSim sim(under, batch, dispatch);
-          sim.enqueue(trace);
-          sim.run();
-          expect_packets_equal(ref.egress(), sim.egress(), tag);
+          expect_packets_equal(ref, run_batched(under, trace, batch, columns),
+                               tag);
           EXPECT_TRUE(closure.state() == under.state()) << tag;
         }
       }
@@ -277,7 +292,7 @@ TEST(KernelDifferentialTest, BatchedAcrossBatchSizes) {
   }
 }
 
-TEST(KernelDifferentialTest, ShardedFleet) {
+TEST(KernelDifferentialTest, ShardCoreDrains) {
   for (const auto& alg : algorithms::corpus()) {
     auto compiled = compile_least(alg.source);
     if (!compiled.has_value()) continue;
@@ -286,24 +301,22 @@ TEST(KernelDifferentialTest, ShardedFleet) {
     const auto trace =
         workload_packets(alg, compiled->machine().fields(), 3000, 13);
     for (std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-      banzai::FleetConfig cfg;
-      cfg.num_shards = shards;
-      cfg.batch_size = 64;
-      cfg.parallel = true;
-      cfg.flow_key = key;
-      banzai::Fleet ref(engine_clone(compiled->machine(), ExecEngine::kClosure),
-                        cfg);
-      const auto ra = ref.run(trace).egress_in_order();
+      banzai::ShardCore ref(
+          engine_clone(compiled->machine(), ExecEngine::kClosure), shards,
+          shards, 64, key);
+      const auto ra = test_util::drain_trace(ref, trace, /*parallel=*/true);
       for (ExecEngine engine : engines_of(compiled->machine())) {
         if (engine == ExecEngine::kClosure) continue;
-        banzai::Fleet under(engine_clone(compiled->machine(), engine), cfg);
-        const auto rb = under.run(trace).egress_in_order();
+        banzai::ShardCore under(engine_clone(compiled->machine(), engine),
+                                shards, shards, 64, key);
+        const auto rb =
+            test_util::drain_trace(under, trace, /*parallel=*/true);
         expect_packets_equal(ra, rb,
                              alg.name + " [" + engine_name(engine) +
                                  "] shards=" + std::to_string(shards));
         for (std::size_t s = 0; s < shards; ++s)
-          EXPECT_TRUE(ref.shard_machine(s).state() ==
-                      under.shard_machine(s).state())
+          EXPECT_TRUE(ref.slot_machine(s).state() ==
+                      under.slot_machine(s).state())
               << alg.name << " [" << engine_name(engine) << "] shard " << s;
       }
     }

@@ -8,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -16,7 +17,7 @@
 #include <string>
 
 #include "algorithms/corpus.h"
-#include "banzai/batch.h"
+#include "banzai/column.h"
 #include "banzai/native.h"
 #include "banzai/native_io.h"
 #include "core/compiler.h"
@@ -278,18 +279,18 @@ TEST(NativeLoaderTest, ColumnarEntryPointIsExportedAndAgreesWithRows) {
 
   Machine rows = compiled.machine().clone();
   Machine cols = compiled.machine().clone();
-  banzai::BatchSim rsim(rows, 64, banzai::BatchDispatch::kRows);
-  banzai::BatchSim csim(cols, 64, banzai::BatchDispatch::kColumnar);
   const auto trace = flowlet_workload(compiled, 2000);
-  rsim.enqueue(trace);
-  csim.enqueue(trace);
-  rsim.run();
-  csim.run();
-  EXPECT_EQ(csim.stats().columnar_batches, csim.stats().batches);
-  EXPECT_EQ(rsim.stats().columnar_batches, 0u);
-  ASSERT_EQ(rsim.egress().size(), csim.egress().size());
-  for (std::size_t i = 0; i < rsim.egress().size(); ++i)
-    ASSERT_EQ(rsim.egress()[i], csim.egress()[i]) << "packet " << i;
+  std::vector<Packet> rows_out = trace, cols_out = trace;
+  banzai::ColumnBatch cb;
+  for (std::size_t i = 0; i < trace.size(); i += 64) {
+    const std::size_t n = std::min<std::size_t>(64, trace.size() - i);
+    rows.run_batch(banzai::BatchView::rows(&rows_out[i], n));
+    cb.gather(&cols_out[i], n, cols.fields().size());
+    cols.run_batch(banzai::BatchView::columns(cb));
+    cb.scatter(&cols_out[i]);
+  }
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    ASSERT_EQ(rows_out[i], cols_out[i]) << "packet " << i;
   EXPECT_TRUE(rows.state() == cols.state());
 }
 

@@ -1,5 +1,5 @@
 // Golden-value pins for the flow-sharding hash.  Every differential test of
-// Fleet and FleetService (and the snapshot → reshard → restore contract)
+// ShardCore and FleetService (and the snapshot → reshard → restore contract)
 // depends on shard assignment being identical on every platform and across
 // every future refactor; these constants freeze the SplitMix64 finalizer, the
 // key → shard mapping, the chained multi-field flow hash, and the

@@ -5,9 +5,11 @@
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algorithms/corpus.h"
+#include "banzai/fleet.h"
 #include "banzai/sim.h"
 #include "core/compiler.h"
 #include "core/interp.h"
@@ -79,6 +81,46 @@ inline DifferentialResult run_differential(
   }
   result.state_equal = interp.state() == machine.state();
   return result;
+}
+
+// Runs a whole trace through `core` and returns its egress in trace order.
+// The trace is partitioned stably by shard, so every slot sees its packets
+// in arrival order; each shard drains in one ShardCore::drain call, on its
+// own thread when `parallel` is set (drains of distinct shards may run
+// concurrently, the core's thread-safety contract).
+inline std::vector<banzai::Packet> drain_trace(
+    banzai::ShardCore& core, const std::vector<banzai::Packet>& trace,
+    bool parallel) {
+  struct Part {
+    std::vector<std::size_t> pos, slots;
+    std::vector<banzai::Packet> pkts, out;
+  };
+  std::vector<Part> parts(core.num_shards());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::size_t slot = core.slot_of(trace[i]);
+    Part& p = parts[slot % core.num_shards()];
+    p.pos.push_back(i);
+    p.slots.push_back(slot);
+    p.pkts.push_back(trace[i]);
+  }
+  auto drain_shard = [&](std::size_t s) {
+    Part& p = parts[s];
+    p.out.resize(p.pkts.size());
+    core.drain(s, p.slots.data(), p.pkts.data(), p.pkts.size(), p.out.data());
+  };
+  if (parallel) {
+    std::vector<std::thread> workers;
+    for (std::size_t s = 0; s < parts.size(); ++s)
+      workers.emplace_back(drain_shard, s);
+    for (std::thread& w : workers) w.join();
+  } else {
+    for (std::size_t s = 0; s < parts.size(); ++s) drain_shard(s);
+  }
+  std::vector<banzai::Packet> egress(trace.size());
+  for (Part& p : parts)
+    for (std::size_t k = 0; k < p.pos.size(); ++k)
+      egress[p.pos[k]] = std::move(p.out[k]);
+  return egress;
 }
 
 // The least expressive paper target that accepts `source`, if any.
