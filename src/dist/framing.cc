@@ -279,7 +279,14 @@ HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n) {
 }
 
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m) {
-  return encode_ingest_frames(m.frames.begin(), m.frames.end());
+  std::vector<std::uint8_t> out;
+  encode_ingest_frames(
+      m.frames.begin(), m.frames.end(),
+      [](const FrameRecord& r) {
+        return FrameRef{r.seq, r.slot, r.bytes.data(), r.bytes.size()};
+      },
+      out);
+  return out;
 }
 
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n) {

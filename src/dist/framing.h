@@ -393,23 +393,31 @@ Hello decode_hello(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m);
 HelloAck decode_hello_ack(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_ingest_batch(const IngestBatch& m);
-// The INGEST_BATCH payload of the FrameRecords [first, last), encoded in
-// place: the same bytes encode_ingest_batch emits for a batch holding copies
-// of them, without making the copies.
-template <typename It>
-std::vector<std::uint8_t> encode_ingest_frames(It first, It last) {
+// INGEST_BATCH's one writer: the payload of the frames [first, last), where
+// ref(*it) names each frame as a FrameRef, written straight from wherever
+// the bytes live.  The payload replaces out's contents, so a caller that
+// keeps `out` across batches reuses its capacity.
+template <typename It, typename ToRef>
+void encode_ingest_frames(It first, It last, ToRef ref,
+                          std::vector<std::uint8_t>& out) {
   std::size_t size = 4, count = 0;
-  for (It it = first; it != last; ++it, ++count) size += 16 + it->bytes.size();
-  std::vector<std::uint8_t> out;
-  out.reserve(size);
-  Writer w(out);
-  w.u32(static_cast<std::uint32_t>(count));
-  for (It it = first; it != last; ++it) {
-    w.u64(it->seq);
-    w.u32(it->slot);
-    w.blob(it->bytes);
+  for (It it = first; it != last; ++it, ++count) {
+    const std::size_t len = ref(*it).len;
+    if (len > kMaxMessageBytes) throw FramingError("blob exceeds bound");
+    size += 16 + len;
   }
-  return out;
+  out.resize(size);
+  std::uint8_t* p = out.data();
+  store_u32(p, static_cast<std::uint32_t>(count));
+  p += 4;
+  for (It it = first; it != last; ++it) {
+    const FrameRef f = ref(*it);
+    store_u64(p, f.seq);
+    store_u32(p + 8, f.slot);
+    store_u32(p + 12, static_cast<std::uint32_t>(f.len));
+    if (f.len != 0) std::memcpy(p + 16, f.data, f.len);
+    p += 16 + f.len;
+  }
 }
 IngestBatch decode_ingest_batch(const std::uint8_t* p, std::size_t n);
 std::vector<std::uint8_t> encode_ingest_ack(const IngestAck& m);

@@ -46,6 +46,11 @@ void EgressWindow::advance() {
 
 bool EgressWindow::deliver(std::uint64_t seq, const std::uint8_t* data,
                            std::size_t len) {
+  if (seq == next_ && window_.empty()) {
+    ready_.emplace_back(data, data + len);
+    ++next_;
+    return true;
+  }
   Cell* cell = claim(seq);
   if (cell == nullptr) return false;
   cell->state = Cell::kFilled;
@@ -109,22 +114,26 @@ std::size_t FrontTier::slot_of_frame(const std::uint8_t* data,
   return slot_of_packet(scratch_, cfg_.flow_key, cfg_.num_slots);
 }
 
-void FrontTier::route(FrameRecord rec) {
-  workers_[owner_[rec.slot]].outbox.push_back(std::move(rec));
+FrameRef FrontTier::frame_ref(const LogRecord& rec) const {
+  return FrameRef{rec.seq, rec.slot,
+                  resend_[rec.slot].arena.data() + rec.offset, rec.len};
+}
+
+void FrontTier::route(const LogRecord& rec) {
+  workers_[owner_[rec.slot]].outbox.push_back(&rec);
 }
 
 void FrontTier::offer(const std::uint8_t* data, std::size_t len) {
-  FrameRecord rec;
-  rec.seq = next_seq_++;
-  rec.slot = static_cast<std::uint32_t>(slot_of_frame(data, len));
-  rec.bytes.assign(data, data + len);
+  const std::size_t slot = slot_of_frame(data, len);
+  SlotLog& log = resend_[slot];
+  log.records.push_back(LogRecord{
+      next_seq_++, static_cast<std::uint32_t>(slot), log.arena.size(), len});
+  log.arena.insert(log.arena.end(), data, data + len);
   ++stats_.frames_offered;
-  resend_[rec.slot].push_back(rec);
   ++resend_total_;
-  const std::size_t wi = owner_[rec.slot];
-  route(std::move(rec));
+  route(log.records.back());
   if (resend_total_ >= cfg_.resend_limit) checkpoint();
-  flush_worker(wi, /*drain=*/false);
+  flush_worker(owner_[slot], /*drain=*/false);
 }
 
 bool FrontTier::ensure_connected(WorkerLink& w) {
@@ -233,14 +242,15 @@ void FrontTier::process_egress(const std::vector<EgressRecord>& egress) {
 void FrontTier::send_batch(WorkerLink& w) {
   const std::size_t n = std::min(cfg_.max_batch, w.outbox.size() - w.unacked);
   const auto first = w.outbox.begin() + static_cast<std::ptrdiff_t>(w.unacked);
-  std::vector<std::uint8_t> payload =
-      encode_ingest_frames(first, first + static_cast<std::ptrdiff_t>(n));
-  w.conn.send_msg(MsgType::kIngestBatch, payload,
+  encode_ingest_frames(
+      first, first + static_cast<std::ptrdiff_t>(n),
+      [this](const LogRecord* rec) { return frame_ref(*rec); }, w.batch);
+  w.conn.send_msg(MsgType::kIngestBatch, w.batch,
                   Clock::now() + cfg_.rpc_timeout);
   w.unacked += n;
   Inflight sent;
   sent.frames = n;
-  if (cfg_.dup_every != 0) sent.payload = std::move(payload);
+  if (cfg_.dup_every != 0) sent.payload = w.batch;
   w.inflight.push_back(std::move(sent));
 }
 
@@ -397,14 +407,9 @@ void FrontTier::checkpoint() {
       w.detector.on_success(Clock::now());
       process_egress(sr.egress);
       for (SlotState& ss : sr.slots) {
-        if (ss.slot >= resend_.size()) continue;
-        // Everything up to applied_seq is baked into the blob: the resend
-        // buffer only needs the unapplied tail from here on.
-        auto& buf = resend_[ss.slot];
-        while (!buf.empty() && buf.front().seq <= ss.applied_seq) {
-          buf.pop_front();
-          --resend_total_;
-        }
+        // A snapshot only speaks for the slots this worker owns.
+        if (ss.slot >= resend_.size() || owner_[ss.slot] != wi) continue;
+        trim_resend(ss.slot, ss.applied_seq);
         checkpoint_[ss.slot] = std::move(ss);
       }
     } catch (const RpcTimeout&) {
@@ -463,10 +468,44 @@ std::size_t FrontTier::pick_survivor(std::size_t excluding,
 }
 
 void FrontTier::replay_slot(std::size_t slot) {
-  for (const FrameRecord& rec : resend_[slot]) {
+  for (const LogRecord& rec : resend_[slot].records) {
     route(rec);
     ++stats_.replays;
   }
+}
+
+void FrontTier::trim_resend(std::size_t slot, std::uint64_t applied_seq) {
+  SlotLog& log = resend_[slot];
+  if (log.records.empty() || log.records.front().seq > applied_seq) return;
+  // After a timeout or reset the outbox is re-sent from its front, which can
+  // still hold frames the worker applied but whose ack was lost.  Everything
+  // up to applied_seq is baked into the checkpoint, so they leave the outbox
+  // before their records die.
+  std::deque<const LogRecord*>& outbox = workers_[owner_[slot]].outbox;
+  auto keep = outbox.begin();
+  for (const LogRecord* rec : outbox) {
+    if (rec->slot != slot || rec->seq > applied_seq) {
+      *keep++ = rec;
+      continue;
+    }
+    // A frame the front cannot parse never advanced applied_seq: the worker
+    // rejected it, and the reject status may have died with the ack.
+    const FrameRef f = frame_ref(*rec);
+    if (!rx_->parse_exact(f.data, f.len, scratch_).ok())
+      deliver_tombstone(rec->seq);
+  }
+  outbox.erase(keep, outbox.end());
+  while (!log.records.empty() && log.records.front().seq <= applied_seq) {
+    log.records.pop_front();
+    --resend_total_;
+  }
+  // Compact the arena down to the unapplied tail, which a checkpoint leaves
+  // short (the frames not yet sent).
+  const std::size_t base =
+      log.records.empty() ? log.arena.size() : log.records.front().offset;
+  log.arena.erase(log.arena.begin(),
+                  log.arena.begin() + static_cast<std::ptrdiff_t>(base));
+  for (LogRecord& rec : log.records) rec.offset -= base;
 }
 
 void FrontTier::migrate(std::size_t dead) {
@@ -481,8 +520,9 @@ void FrontTier::migrate(std::size_t dead) {
   w.conn.close();
   std::deque<std::size_t> pending;
   for (std::size_t s : owned_slots(dead)) pending.push_back(s);
-  // Unacked frames in the dead worker's outbox are all in the resend buffers
-  // (offer() stores before routing), so the replay below re-creates them.
+  // The dead worker's outbox only points into the resend logs, which hold
+  // every frame not yet baked into a checkpoint (offer() logs a frame before
+  // routing it), so the replay below re-creates whatever it held.
   w.outbox.clear();
   w.unacked = 0;
   w.inflight.clear();
@@ -602,11 +642,7 @@ void FrontTier::move_slot(std::size_t slot, std::size_t to_worker) {
         process_egress(sr.egress);
         for (SlotState& ss : sr.slots) {
           if (ss.slot != slot) continue;
-          auto& buf = resend_[slot];
-          while (!buf.empty() && buf.front().seq <= ss.applied_seq) {
-            buf.pop_front();
-            --resend_total_;
-          }
+          trim_resend(slot, ss.applied_seq);
           checkpoint_[slot] = std::move(ss);
           barrier_ok = true;
         }
@@ -680,6 +716,8 @@ std::vector<std::vector<std::uint8_t>> FrontTier::drain_egress() {
 FrontStats FrontTier::stats() const {
   FrontStats s = stats_;
   s.egress_duplicates = window_.duplicates();
+  s.resend_frames = resend_total_;
+  for (const SlotLog& log : resend_) s.resend_bytes += log.arena.size();
   return s;
 }
 

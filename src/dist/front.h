@@ -7,12 +7,16 @@
 //
 // The machinery, end to end:
 //
-//   offer(bytes) ──hash──► slot ──owner table──► per-worker outbox
-//        │                                             │ (batched RPC,
-//        └── per-slot resend buffer (at-least-once) ───┤  kMaxInflight deep)
-//                                                      ▼
+//   offer(bytes) ──hash──► slot ──► per-slot resend log: the one copy of
+//                                   the bytes (records + byte arena)
+//                                        │ record pointers
+//                   owner table ──► per-worker outbox ──► INGEST_BATCH,
+//                                   encoded from the log in place
+//                                   (batched RPC, kMaxInflight deep)
+//                                                      │
 //   EgressWindow ◄── seq-tagged egress piggybacked on every ack
-//   (dedup + global order + tombstones for rejects)
+//   (dedup + global order + tombstones for rejects; a frame that arrives
+//   in order with nothing buffered skips the window)
 //
 // Ingest is pipelined: a full batch goes out without waiting for earlier
 // acks, up to kMaxInflight (dist/framing.h) INGEST_BATCH requests per
@@ -84,9 +88,9 @@ struct FrontConfig {
   std::uint64_t seed = 1;         // backoff jitter + chaos schedules
   std::uint32_t dead_after = 3;   // consecutive failures before migration
   std::size_t max_batch = 64;     // frames per IngestBatch RPC
-  // Resend-buffer bound: when this many frames are buffered fleet-wide, the
-  // front forces a checkpoint (which trims every buffer to the unapplied
-  // tail).  At-least-once replay needs the buffer; the bound keeps it from
+  // Resend-log bound: when this many frames are logged fleet-wide, the
+  // front forces a checkpoint (which trims every log to the unapplied
+  // tail).  At-least-once replay needs the log; the bound keeps it from
   // growing without limit on a checkpoint-shy caller.
   std::size_t resend_limit = 8192;
   // Chaos knob: re-send every Nth ingest batch verbatim after its ack — the
@@ -110,13 +114,17 @@ struct FrontStats {
   std::uint64_t migrations = 0;       // dead-worker slot migrations
   std::uint64_t slot_moves = 0;       // slots moved (migration + rebalance)
   std::uint64_t checkpoints = 0;
-  std::uint64_t replays = 0;          // frames replayed from resend buffers
+  std::uint64_t replays = 0;          // frames replayed from resend logs
   std::uint64_t egress_frames = 0;    // settled egress drained so far
   std::uint64_t egress_duplicates = 0;  // dropped by the window dedup
   // Ack/egress seqs outside the issued range [1, next_seq): a corrupted (but
   // well-framed) worker reply; dropped before they can touch the window.
   std::uint64_t egress_corrupt = 0;
   std::uint64_t heartbeats = 0;
+  // Gauges: frames and frame bytes held in the resend logs right now.
+  // resend_frames stays at or below resend_limit while checkpoints succeed.
+  std::uint64_t resend_frames = 0;
+  std::uint64_t resend_bytes = 0;
 };
 
 struct WorkerView {
@@ -137,7 +145,8 @@ struct WorkerView {
 class EgressWindow {
  public:
   // True when the record was fresh (its bytes are copied in), false when
-  // deduped.
+  // deduped.  A fresh seq that is next in order while nothing is buffered
+  // goes straight to the drain queue.
   bool deliver(std::uint64_t seq, const std::uint8_t* data, std::size_t len);
   bool tombstone(std::uint64_t seq);
 
@@ -180,10 +189,12 @@ class FrontTier {
   // is unreachable at startup (later failures are handled, not thrown).
   void connect();
 
-  // Offers one ingress frame: assigns the next global seq, buffers it for
-  // resend, routes it to its slot's owner, and flushes any outbox that
-  // reached max_batch.  Malformed frames still get a seq (the worker rejects
-  // them with a typed status and the window tombstones the seq).
+  // Offers one ingress frame: assigns the next global seq, appends it to its
+  // slot's resend log (the front's only copy of the bytes), routes a
+  // pointer to the record to the slot's owner, and flushes any outbox that
+  // reached max_batch.  Allocates nothing per frame.  Malformed frames still
+  // get a seq (the worker rejects them with a typed status and the window
+  // tombstones the seq).
   void offer(const std::uint8_t* data, std::size_t len);
   void offer(const std::vector<std::uint8_t>& frame) {
     offer(frame.data(), frame.size());
@@ -195,7 +206,7 @@ class FrontTier {
   void flush();
 
   // Checkpoint barrier: snapshots every owned slot on every alive worker,
-  // stores the blobs as the migration fallback, trims resend buffers.
+  // stores the blobs as the migration fallback, trims the resend logs.
   void checkpoint();
 
   // Probes every alive worker (egress piggybacks on the acks); drives the
@@ -240,6 +251,23 @@ class FrontTier {
     std::vector<std::uint8_t> payload;  // kept only when dup_every is on
   };
 
+  // One offered frame in its slot's resend log: its bytes are
+  // arena[offset, offset + len) of that log.
+  struct LogRecord {
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+    std::size_t offset = 0;
+    std::size_t len = 0;
+  };
+
+  // A slot's frames since its last checkpoint, in seq order.  Outboxes hold
+  // pointers into `records`; only push_back and pop_front touch it, and
+  // those never move the other elements.
+  struct SlotLog {
+    std::deque<LogRecord> records;
+    std::vector<std::uint8_t> arena;
+  };
+
   struct WorkerLink {
     std::uint16_t port = 0;
     Conn conn;
@@ -247,14 +275,16 @@ class FrontTier {
     std::uint32_t attempt = 0;           // reconnect backoff exponent
     // outbox[0, unacked) is in flight, in the batches listed by inflight
     // (oldest first); the rest is not sent yet.
-    std::deque<FrameRecord> outbox;
+    std::deque<const LogRecord*> outbox;
     std::size_t unacked = 0;
     std::deque<Inflight> inflight;
+    std::vector<std::uint8_t> batch;     // INGEST_BATCH payload, reused
     std::uint64_t hb_nonce = 0;
   };
 
   std::size_t slot_of_frame(const std::uint8_t* data, std::size_t len);
-  void route(FrameRecord rec);  // outbox only, no resend append
+  FrameRef frame_ref(const LogRecord& rec) const;
+  void route(const LogRecord& rec);  // outbox only, no log append
   bool ensure_connected(WorkerLink& w);
   void hello(WorkerLink& w);
   // One request/response exchange after settling every outstanding ingest
@@ -292,6 +322,11 @@ class FrontTier {
   // retrying cannot help).
   bool restore_to(std::size_t target, const RestoreReq& req);
   void replay_slot(std::size_t slot);
+  // Drops `slot`'s log records up to applied_seq (they are baked into a
+  // checkpoint) and compacts its arena.  Any of them still in the owner's
+  // outbox (applied, but the ack was lost) leave it first.  Call only with
+  // nothing in flight to the owner, i.e. right after call() succeeded.
+  void trim_resend(std::size_t slot, std::uint64_t applied_seq);
   std::vector<std::size_t> owned_slots(std::size_t wi) const;
   std::size_t pick_survivor(std::size_t excluding, std::size_t salt) const;
   void deliver_tombstone(std::uint64_t seq);
@@ -311,9 +346,9 @@ class FrontTier {
   Backoff backoff_;
   std::vector<WorkerLink> workers_;
   std::vector<std::size_t> owner_;               // slot -> worker index
-  std::vector<std::deque<FrameRecord>> resend_;  // per slot, seq order
+  std::vector<SlotLog> resend_;                  // per slot; never resized
   std::map<std::size_t, SlotState> checkpoint_;  // slot -> last checkpoint
-  std::size_t resend_total_ = 0;
+  std::size_t resend_total_ = 0;                 // records in all logs
   EgressWindow window_;
   std::uint64_t next_seq_ = 1;
   std::uint32_t batches_sent_ = 0;  // for the dup_every chaos knob

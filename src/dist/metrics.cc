@@ -76,8 +76,14 @@ void render_dist_metrics(std::ostream& os, const FrontStats& stats,
             "Checkpoint barriers completed");
   os << "domino_dist_checkpoints_total " << stats.checkpoints << '\n';
   help_line(os, "domino_dist_replays_total", "counter",
-            "Frames replayed from resend buffers after a slot move");
+            "Frames replayed from resend logs after a slot move");
   os << "domino_dist_replays_total " << stats.replays << '\n';
+  help_line(os, "domino_dist_resend_frames", "gauge",
+            "Frames held in the resend logs (bounded by resend_limit)");
+  os << "domino_dist_resend_frames " << stats.resend_frames << '\n';
+  help_line(os, "domino_dist_resend_bytes", "gauge",
+            "Frame bytes held in the resend logs");
+  os << "domino_dist_resend_bytes " << stats.resend_bytes << '\n';
   help_line(os, "domino_dist_egress_frames_total", "counter",
             "Settled egress frames drained in global order");
   os << "domino_dist_egress_frames_total " << stats.egress_frames << '\n';

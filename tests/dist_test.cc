@@ -11,10 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "dist/framing.h"
 #include "dist/front.h"
 #include "dist/health.h"
+#include "dist/metrics.h"
 #include "dist/rpc.h"
 #include "dist/worker.h"
 #include "sim/partition.h"
@@ -35,6 +38,7 @@
 namespace {
 
 using banzai::Packet;
+using dist::EgressWindow;
 using dist::FailureDetector;
 using dist::FramingError;
 using dist::FrontConfig;
@@ -399,6 +403,77 @@ TEST(DistHealthTest, WalksHealthySuspectDeadRecovering) {
   EXPECT_EQ(d.errors(), 1u);
 }
 
+// ---- egress window ---------------------------------------------------------
+
+// EgressWindow against a std::map model, over seeded schedules that mix
+// in-order, out-of-order and duplicate deliveries with tombstones.  The
+// window must drain exactly the model's frames, in seq order, each once, and
+// agree on the watermark and the duplicate count after every step.  Seqs are
+// dealt in shuffled runs, so next_ often arrives while later seqs are
+// already buffered: the in-order fast path must not fire then, or the
+// buffered frames would be skipped or drained out of order.
+TEST(DistEgressWindowTest, MatchesMapModelOverSeededSchedules) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    constexpr std::uint64_t kSeqs = 300;
+    // Each seq's outcome: a frame with seq-derived bytes, or a tombstone.
+    std::vector<bool> is_tomb(kSeqs + 1);
+    for (std::uint64_t q = 1; q <= kSeqs; ++q) is_tomb[q] = rng() % 7 == 0;
+    auto bytes_of = [](std::uint64_t q) {  // distinct for q < 1280
+      return std::vector<std::uint8_t>(1 + q % 5,
+                                       static_cast<std::uint8_t>(q));
+    };
+    // The schedule: seqs in order, with runs of up to 8 shuffled, and extra
+    // deliveries of seqs up to the one just dealt (mostly duplicates; an
+    // early arrival when the seq is later in the same run).
+    std::vector<std::uint64_t> order;
+    for (std::uint64_t q = 1; q <= kSeqs;) {
+      const std::uint64_t run = std::min<std::uint64_t>(1 + rng() % 8,
+                                                        kSeqs - q + 1);
+      std::vector<std::uint64_t> chunk;
+      for (std::uint64_t k = 0; k < run; ++k) chunk.push_back(q + k);
+      if (rng() % 2 == 0) std::shuffle(chunk.begin(), chunk.end(), rng);
+      for (std::uint64_t c : chunk) {
+        order.push_back(c);
+        if (rng() % 5 == 0) order.push_back(1 + rng() % c);  // a repeat
+      }
+      q += run;
+    }
+
+    EgressWindow window;
+    std::map<std::uint64_t, bool> seen;  // seq -> is_tomb, the model
+    std::uint64_t model_next = 1, model_dups = 0;
+    std::vector<std::vector<std::uint8_t>> want, got;
+    bool fast_path_hazard = false;  // next_ arrived with later seqs buffered
+    for (std::uint64_t q : order) {
+      const bool fresh = seen.emplace(q, is_tomb[q]).second;
+      if (!fresh) ++model_dups;
+      if (fresh && q == model_next && seen.size() > q) fast_path_hazard = true;
+      bool took;
+      if (is_tomb[q]) {
+        took = window.tombstone(q);
+      } else {
+        const auto b = bytes_of(q);
+        took = window.deliver(q, b.data(), b.size());
+      }
+      ASSERT_EQ(took, fresh) << "seed " << seed << " seq " << q;
+      for (auto it = seen.find(model_next); it != seen.end();
+           it = seen.find(model_next)) {
+        if (!it->second) want.push_back(bytes_of(model_next));
+        ++model_next;
+      }
+      ASSERT_EQ(window.watermark(), model_next) << "seed " << seed;
+      ASSERT_EQ(window.duplicates(), model_dups) << "seed " << seed;
+      if (rng() % 4 == 0)
+        for (auto& b : window.drain()) got.push_back(std::move(b));
+    }
+    for (auto& b : window.drain()) got.push_back(std::move(b));
+    EXPECT_EQ(window.watermark(), kSeqs + 1);
+    EXPECT_TRUE(fast_path_hazard) << "seed " << seed;
+    ASSERT_EQ(got, want) << "seed " << seed;
+  }
+}
+
 // ---- cluster fixture -------------------------------------------------------
 
 constexpr std::size_t kSlots = 8;
@@ -410,8 +485,10 @@ struct Cluster {
   std::unique_ptr<FrontTier> front;
   std::vector<banzai::FieldId> flow_key;
 
+  // `tune` adjusts the front's config last, before it connects.
   explicit Cluster(std::size_t n_workers, std::uint64_t seed = 1,
-                   std::uint32_t dup_every = 0, std::uint32_t stall_every = 0)
+                   std::uint32_t dup_every = 0, std::uint32_t stall_every = 0,
+                   const std::function<void(FrontConfig&)>& tune = {})
       : compiled(domino::compile(algorithms::algorithm("flowlets").source,
                                  *atoms::find_target("banzai-praw"))) {
     const auto& alg = algorithms::algorithm("flowlets");
@@ -444,6 +521,7 @@ struct Cluster {
     fc.rpc_timeout = dist::Millis(stall_every ? 150 : 2000);
     fc.max_batch = 16;
     fc.dead_after = 2;
+    if (tune) tune(fc);
     front = std::make_unique<FrontTier>(rx, fc);
     for (auto& w : workers) front->add_worker(w->port());
     front->connect();
@@ -1513,6 +1591,70 @@ TEST(DistFrontGuardTest, MigrationSurvivesTargetDyingMidRestore) {
   EXPECT_EQ(front.worker_view(2).health, HealthState::kDead);
   for (std::size_t s = 0; s < kSlots; ++s) EXPECT_EQ(front.owner_of(s), 0u);
   for (auto& w : workers) w->stop();
+}
+
+// A stalled worker applies a batch but answers after the front's deadline,
+// so the front reconnects with that batch's frames still heading the outbox
+// (applied, ack lost).  With a small resend_limit, forced checkpoints then
+// run while the outbox starts that way, and the snapshot shows those frames
+// applied: the checkpoint trims their log records, so it must drop them
+// from the outbox first, or the next send reads freed records.  Runts ride
+// along: a dropped runt's reject status died with the ack, so the front
+// must tombstone it itself or the stream never settles.
+TEST(DistFrontGuardTest, CheckpointAfterLostAckDropsAppliedOutboxFrames) {
+  Cluster c(2, /*seed=*/5, /*dup_every=*/0, /*stall_every=*/3,
+            [](FrontConfig& fc) {
+              fc.resend_limit = 64;
+              fc.dead_after = 1000;  // stalls must never escalate to death
+            });
+  auto frames = c.make_frames(400, 149);
+  const std::vector<std::uint8_t> runt = {0xD0};
+  for (std::size_t i = 0; i < frames.size(); i += 7)
+    frames.insert(frames.begin() + static_cast<std::ptrdiff_t>(i), runt);
+  const auto expected = c.sequential_reference(frames);
+  for (const auto& f : frames) c.front->offer(f);
+  c.front->flush();
+  const auto got = c.front->drain_egress();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "frame " << i;
+  EXPECT_TRUE(c.front->settled());
+  const auto st = c.front->stats();
+  EXPECT_GT(st.retries, 0u) << "the stall schedule never fired";
+  EXPECT_GT(st.checkpoints, 0u) << "resend_limit never forced a checkpoint";
+}
+
+// The resend log is bounded: with checkpoints succeeding, it never holds
+// more than resend_limit frames after an offer, its byte gauge matches its
+// frames, and both gauges reach /metrics.
+TEST(DistFrontGuardTest, ResendLogStaysWithinItsLimit) {
+  constexpr std::size_t kLimit = 64;
+  Cluster c(2, /*seed=*/1, /*dup_every=*/0, /*stall_every=*/0,
+            [](FrontConfig& fc) { fc.resend_limit = kLimit; });
+  const auto frames = c.make_frames(600, 151);
+  const std::size_t frame_bytes = frames.front().size();
+  for (const auto& f : frames) ASSERT_EQ(f.size(), frame_bytes);
+  const auto expected = c.sequential_reference(frames);
+  std::uint64_t peak = 0;
+  for (const auto& f : frames) {
+    c.front->offer(f);
+    const auto st = c.front->stats();
+    ASSERT_LE(st.resend_frames, kLimit);
+    ASSERT_EQ(st.resend_bytes, st.resend_frames * frame_bytes);
+    peak = std::max(peak, st.resend_frames);
+  }
+  EXPECT_GT(peak, kLimit / 2);
+  EXPECT_GT(c.front->stats().checkpoints, 0u);
+  c.front->flush();
+  std::ostringstream page;
+  dist::render_dist_metrics(page, *c.front);
+  EXPECT_NE(page.str().find("# TYPE domino_dist_resend_frames gauge"),
+            std::string::npos);
+  EXPECT_NE(page.str().find("\ndomino_dist_resend_bytes "), std::string::npos);
+  c.front->checkpoint();
+  EXPECT_EQ(c.front->stats().resend_frames, 0u);
+  EXPECT_EQ(c.front->stats().resend_bytes, 0u);
+  EXPECT_EQ(c.front->drain_egress(), expected);
 }
 
 }  // namespace
